@@ -1156,6 +1156,11 @@ class BPlusTree:
                     # last_leaf is the rightmost piece and its first key
                     # is exactly the separator that bounds it below.
                     low = last_leaf.min_key
+                    # If the rebuilt leaf was the fast-path leaf, its
+                    # cached bounds now overreach the leftmost piece, and
+                    # a later segment of this run reached through
+                    # _run_target_from_fp would land above its pivot.
+                    self._after_bulk_splice()
             # Track the frontier.  Long segments are the in-order bulk of
             # the stream — where the next run will resume — while short
             # segments are typically displaced outliers that should not

@@ -1,11 +1,24 @@
 """Write-ahead log: append-only, checksummed, torn-tail tolerant.
 
 Logical operations (``insert`` / ``delete`` / ``insert_many``) are
-serialized as Python literals — the same discipline as
-:mod:`repro.core.persist`, so exactly the key/value types a snapshot can
-hold are loggable — and framed as binary records::
+framed as binary records::
 
     <payload length: u32 LE> <CRC32(payload): u32 LE> <payload bytes>
+
+An ``insert_many`` whose items are all ``(int, int)`` pairs with exact
+int keys and values in int64 range is written in the packed form of
+:mod:`repro.core.codec`: tag byte 0x02, a little-endian u32 count, then
+a key column and a value column, each the narrowest of int32/int64 that
+holds its entries.  Every other record — ``insert``, ``delete``, epoch
+markers, and batches holding floats, strings, tuples, ``None``,
+``bool`` or ints beyond int64 — is the ``repr`` of a Python literal
+(the same discipline as :mod:`repro.core.persist`, so exactly the
+key/value types a snapshot can hold are loggable).  Packed tags sit in
+0x01-0x1F, where no ``repr`` starts, so the decoder picks the form from
+the first payload byte and logs written before the packed form existed
+replay unchanged.  The reverse does not hold: older code counts a
+packed record as corruption, so a log holding packed records (and a
+primary shipping them to replicas) needs current readers.
 
 Records accumulate in numbered segment files (``wal-00000001.seg``, ...)
 inside a directory; a segment that outgrows ``segment_bytes`` is closed
@@ -54,6 +67,7 @@ from typing import IO, Any, Iterable, Optional, Union
 
 from ..concurrency import sanitizer
 from ..testing import failpoints, iofaults
+from . import codec
 from .health import HealthMonitor, ReadOnlyError, RetryPolicy
 from .node import Key
 
@@ -144,12 +158,18 @@ class CommitTicket:
 
 
 def _encode(op: tuple) -> bytes:
-    """Serialize an op tuple as a Python-literal payload.
+    """Serialize an op tuple: packed for an all-int ``insert_many``,
+    else as a Python literal.
 
-    Round-trippability is enforced at append time (cheaply, via a
-    ``literal_eval`` of the repr) so a bad value corrupts nothing: the
-    record is rejected before any byte hits the log.
+    Round-trippability is enforced at append time so a bad value
+    corrupts nothing: the packer's exact-type and range checks, or a
+    ``literal_eval`` of the repr, reject the record before any byte
+    hits the log.
     """
+    if op[0] == OP_INSERT_MANY:
+        packed = codec.pack(op[1])
+        if packed is not None and packed[0] == codec.TAG_PAIRS:
+            return packed
     text = repr(op)
     try:
         ast.literal_eval(text)
@@ -162,6 +182,15 @@ def _encode(op: tuple) -> bytes:
 
 
 def _decode(payload: bytes) -> tuple:
+    """Inverse of :func:`_encode`; raises ``ValueError`` or
+    ``SyntaxError`` on a payload that is neither form."""
+    if codec.is_packed(payload):
+        if payload[0] != codec.TAG_PAIRS:
+            raise codec.CodecError(
+                f"packed WAL record has tag 0x{payload[0]:02x}, not "
+                f"insert_many pairs (0x{codec.TAG_PAIRS:02x})"
+            )
+        return (OP_INSERT_MANY, codec.unpack(payload))
     return ast.literal_eval(payload.decode("utf-8"))
 
 

@@ -1,11 +1,33 @@
 """Length-prefixed binary wire protocol for the QuIT network tier.
 
 Everything on the wire is framed with stdlib ``struct`` — no
-third-party serialization.  Payloads reuse the WAL's encoding idiom:
-the ``repr`` of a Python literal, parsed back with
-``ast.literal_eval``, so exactly the key/value types the tree itself
-round-trips (ints, floats, strings, bytes, tuples, ...) travel the
-wire, and nothing else can (``literal_eval`` never executes code).
+third-party serialization.  A payload takes one of two forms, chosen by
+its own types (there is no knob):
+
+* **Packed** (:mod:`repro.core.codec`): a non-empty list of exact ints
+  or of ``(int, int)`` pairs, a ``SCAN`` page ``(pairs, done)`` or a
+  ``GET_MANY`` request ``(keys, None)``.  A tag byte in 0x01-0x1F, a
+  little-endian u32 count, then one column per field (keys, values),
+  each the narrowest of int32/int64 that holds all its entries.  This
+  carries the bulk ops (``PUT_MANY``, ``GET_MANY`` keys and answers,
+  ``SCAN`` pages) at a few bytes and well under a microsecond per key.
+  The exact-type and range checks of the packer are its validation.
+* **Literal**: everything else — single-key ops, ``STATUS``,
+  ``CHECK``, ``SCRUB``, ``ADMIN``, and any bulk payload holding a
+  float, string, tuple, ``None``, ``bool`` or an int beyond int64.  The
+  ``repr`` of a Python literal, checked to round-trip at encode time
+  and parsed back with ``ast.literal_eval``, so exactly the key/value
+  types the tree itself round-trips travel the wire, and nothing else
+  can (``literal_eval`` never executes code).
+
+No ``repr`` starts with a byte below 0x20, so the decoder tells the
+forms apart from the first payload byte; version-1 (literal-only)
+frames remain readable.  That holds one way only: the version is not
+negotiated and all-int bulk answers are always packed, so a version-1
+peer cannot read version-2 bulk frames.  Servers, clients and replicas
+are upgraded together.  A malformed packed payload is a
+:class:`ProtocolError`, which the server answers with
+``ST_BAD_REQUEST``.
 
 Frames
 ------
@@ -19,7 +41,7 @@ Request (client -> server)::
     !d   deadline budget in seconds (remaining time the client is
          willing to wait; the server refuses work it cannot finish
          inside the budget instead of doing it for nobody)
-    ...  payload (repr literal, UTF-8)
+    ...  payload (packed, or repr literal in UTF-8)
 
 Response (server -> client)::
 
@@ -45,12 +67,14 @@ import ast
 import struct
 from typing import TYPE_CHECKING, Any, Optional, Tuple
 
+from ..core import codec
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import asyncio
     import socket
 
 #: Protocol revision; bumped on any frame-layout change.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Hard per-frame cap: a frame length beyond this is a protocol error,
 #: not an allocation request (defends both sides against garbage).
@@ -140,7 +164,11 @@ class ProtocolError(RuntimeError):
 
 
 def encode_payload(obj: Any) -> bytes:
-    """Serialize ``obj`` as a round-trippable Python literal."""
+    """Serialize ``obj`` packed when its shape allows, else as a
+    round-trippable Python literal."""
+    packed = codec.pack(obj)
+    if packed is not None:
+        return packed
     text = repr(obj)
     try:
         if ast.literal_eval(text) != obj:
@@ -156,6 +184,11 @@ def decode_payload(data: bytes) -> Any:
     """Parse a payload produced by :func:`encode_payload`."""
     if not data:
         return None
+    if codec.is_packed(data):
+        try:
+            return codec.unpack(data)
+        except codec.CodecError as exc:
+            raise ProtocolError(f"malformed packed payload: {exc}") from exc
     try:
         return ast.literal_eval(data.decode("utf-8"))
     except (ValueError, SyntaxError, UnicodeDecodeError) as exc:

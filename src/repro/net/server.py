@@ -502,8 +502,9 @@ class QuitServer:
             elif op == protocol.OP_DELETE:
                 ticket = backend.submit_delete(payload)  # loop-safe: group-commit enqueue
             else:  # OP_PUT_MANY
-                items = [(k, v) for k, v in payload]
-                ticket = backend.submit_many(items)  # loop-safe: group-commit enqueue
+                # submit_many re-lists the batch itself; a bad shape
+                # raises TypeError/ValueError into the handler below.
+                ticket = backend.submit_many(payload)  # loop-safe: group-commit enqueue
         except ReadOnlyError as exc:
             self.stats.net_readonly_refusals += 1
             return protocol.ST_READ_ONLY, 0, str(exc)

@@ -20,12 +20,16 @@ from hypothesis import strategies as st
 from repro.concurrency import ConcurrentTree
 from repro.core import (
     BPlusTree,
+    LilBPlusTree,
+    PoleBPlusTree,
     QuITTree,
+    TailBPlusTree,
     TreeConfig,
     carve_runs,
     merge_run,
     probe_runs,
 )
+from repro.sortedness.bods import BodsSpec, generate
 from repro.sware import SABPlusTree
 
 from conftest import ALL_TREE_CLASSES
@@ -270,3 +274,79 @@ def test_insert_many_property_equivalence(cls, items, split):
     assert list(tree.items()) == expected
     tree.validate(check_min_fill=False)
     _check_leaf_chain(tree)
+
+
+# -- regression: insert_many after scattered point inserts -------------
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [BPlusTree, TailBPlusTree, LilBPlusTree, PoleBPlusTree, QuITTree],
+    ids=lambda c: c.name,
+)
+def test_insert_many_after_scattered_point_inserts(cls):
+    """A batch run that chains into the fast-path leaf and overflows it
+    must not leave the cached fast-path bounds covering the rebuilt
+    leaf's siblings: the run's next segment would land above the leaf's
+    upper pivot, losing keys and breaking global order."""
+    keys = generate(BodsSpec(n=49152, k_fraction=0.05, l_fraction=0.05,
+                             seed=3, key_step=2)).tolist()
+    rng, tree = random.Random(3), cls(TreeConfig())
+    oracle = {}
+    for c in range(3):
+        for i in range(c * 16384, (c + 1) * 16384, 1024):
+            batch = [(k, k) for k in keys[i:i + 1024]]
+            tree.insert_many(batch)
+            oracle.update(batch)
+        for _ in range(120):
+            k = 2 * rng.randrange(49152) + 1
+            tree.insert(k, k)
+            oracle[k] = k
+    assert sum(tree.get(k) is None for k in keys) == 0
+    assert tree.check(check_min_fill=False) == []
+    assert list(tree.items()) == sorted(oracle.items())
+
+
+_mixed_op = st.one_of(
+    st.tuples(st.just("insert"), st.integers(-500, 500)),
+    st.tuples(st.just("delete"), st.integers(-500, 500)),
+    st.tuples(
+        st.just("insert_many"),
+        st.lists(st.integers(-500, 500), max_size=60),
+    ),
+    # Strided runs: a sparse run followed by a denser one over the same
+    # range packs leaves and then overflows them mid-run.
+    st.tuples(
+        st.just("insert_many"),
+        st.builds(
+            lambda start, n, step: list(range(start, start + n * step, step)),
+            st.integers(-500, 500), st.integers(0, 60), st.integers(1, 40),
+        ),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cls=st.sampled_from(ALL_TREE_CLASSES),
+    ops=st.lists(_mixed_op, max_size=60),
+)
+def test_interleaved_ops_match_dict_oracle(cls, ops):
+    """Interleaved ``insert`` / ``insert_many`` / ``delete`` agree with a
+    dict, and the tree passes ``check()`` afterwards."""
+    tree = cls(SMALL)
+    oracle: dict = {}
+    for step, (kind, arg) in enumerate(ops):
+        if kind == "insert":
+            tree.insert(arg, step)
+            oracle[arg] = step
+        elif kind == "delete":
+            assert tree.delete(arg) == (arg in oracle)
+            oracle.pop(arg, None)
+        else:
+            batch = [(k, (step, j)) for j, k in enumerate(arg)]
+            added = tree.insert_many(batch)
+            assert added == len({k for k, _ in batch} - oracle.keys())
+            oracle.update(batch)
+    assert list(tree.items()) == sorted(oracle.items())
+    assert tree.check(check_min_fill=False) == []
