@@ -3,7 +3,7 @@
 Subcommands over a durability directory (``snapshot.quit`` +
 ``wal/wal-*.seg``, as written by :class:`repro.core.DurableTree`):
 
-* ``checkpoint DIR`` — recover the state, write a fresh v2 snapshot,
+* ``checkpoint DIR`` — recover the state, write a fresh v3 snapshot,
   truncate the WAL;
 * ``recover DIR`` — rebuild the tree and print the
   :class:`~repro.core.RecoveryReport` (exit status 1 when damage was
@@ -333,7 +333,7 @@ def cmd_bench(args: argparse.Namespace, out) -> int:
         rows = [
             ("ingest (batched, logged)",
              t_ingest, f"{args.n / max(t_ingest, 1e-9):,.0f} entries/s"),
-            ("checkpoint (v2 snapshot)",
+            ("checkpoint (v3 snapshot)",
              t_checkpoint,
              f"{args.n / max(t_checkpoint, 1e-9):,.0f} entries/s"),
             (f"WAL appends x{args.wal_ops}",

@@ -8,7 +8,7 @@ and makes its *logical* operations durable:
   :class:`~repro.core.wal.WriteAheadLog` **before** it touches the tree
   (log-then-apply), so an acknowledged write survives a crash under
   ``fsync="always"``;
-* :meth:`DurableTree.checkpoint` writes a v2 (per-record CRC32) snapshot
+* :meth:`DurableTree.checkpoint` writes a v3 (per-record CRC32) snapshot
   via the atomic temp-file + ``os.replace`` path of
   :func:`repro.core.persist.save_tree` and then truncates the WAL;
 * :meth:`DurableTree.recover` rebuilds state from ``snapshot + WAL``,
@@ -372,7 +372,7 @@ class DurableTree:
         return self.directory / SNAPSHOT_NAME
 
     def checkpoint(self) -> int:
-        """Write a v2 snapshot atomically, then truncate the WAL.
+        """Write a v3 snapshot atomically, then truncate the WAL.
 
         Returns the number of entries snapshotted.  Crash-safety of each
         window between the steps:
@@ -407,7 +407,6 @@ class DurableTree:
         count = save_tree(
             snapshot_source,
             self.snapshot_path,
-            version=2,
             retry=self.retry,
             health=self.health,
         )

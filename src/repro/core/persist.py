@@ -1,15 +1,29 @@
 """Persistence helpers: dump an index to a file and reload it.
 
-Two on-disk formats share one loader:
+A snapshot is a one-line text header (tab-separated format tag, entry
+count, leaf capacity, internal capacity and, in files written since the
+column existed, leaf layout) followed by a body.
 
-* **v1** (``quit-tree-v1``): a small header (format tag, entry count,
-  configuration) followed by one tab-separated ``key<TAB>value`` line per
-  entry in key order.
-* **v2** (``quit-tree-v2``): the same header, but every entry line is
-  prefixed with the CRC32 of its ``key<TAB>value`` body
-  (``crc<TAB>key<TAB>value``), so a flipped bit is caught at load time
-  instead of silently rebuilding a wrong tree.  This is the format
-  :meth:`repro.core.durable.DurableTree.checkpoint` writes.
+:func:`save_tree` writes **v3** (``quit-tree-v3``), whose body is framed
+exactly like a WAL segment (:mod:`repro.core.wal`): a run of
+``<len u32><crc32 u32><payload>`` records, each an ``insert_many`` op
+carrying the next :data:`CHUNK_PAIRS` entries in key order.  A chunk of
+``(int, int)`` pairs in int64 range takes the packed form of
+:mod:`repro.core.codec`; any other chunk (str, float, tuple or ``None``
+values, ints beyond int64) falls back, chunk by chunk, to the WAL's
+literal encoding, checked by :func:`ast.literal_eval` at save time, so
+any Python literal round-trips and an arbitrary object is rejected
+before it can corrupt the file.
+
+:func:`load_tree` also reads the text formats older code wrote, one
+entry per line: **v1** (``quit-tree-v1``, ``key<TAB>value``) and **v2**
+(``quit-tree-v2``, ``crc<TAB>key<TAB>value`` with the CRC32 of
+``key<TAB>value``).  The compatibility is one way: code that predates
+v3 cannot read a v3 snapshot, so primaries and replicas are upgraded
+together.  :func:`load_tree` and :func:`verify_snapshot` share one
+parser, so verification reports exactly what a load rejects: a bad
+header, a CRC failure, a torn record, a record that is not a chunk of
+pairs, a count that disagrees with the header, or unsorted keys.
 
 Writes are **atomic**: the tree is serialized to a same-directory temp
 file which is fsynced and ``os.replace``d over the destination only on
@@ -20,91 +34,78 @@ fault) unlinks the temp file and leaves any previous good snapshot at
 Loading rebuilds the index via packed bulk loading, so a reloaded tree
 starts at optimal occupancy regardless of the ingestion history that
 produced it.
-
-Values are stored via ``repr`` and restored with
-:func:`ast.literal_eval`, so any Python literal (numbers, strings,
-tuples, lists, dicts, None, booleans) round-trips; arbitrary objects are
-rejected at save time rather than corrupting the file.
 """
 
 from __future__ import annotations
 
 import ast
-import io
+import itertools
+import operator
 import os
 import zlib
 from pathlib import Path
-from typing import Any, Optional, TextIO, Type, Union
+from typing import Any, Optional, Type, Union
 
 from ..concurrency import sanitizer
 from ..testing import failpoints, iofaults
+from . import wal
 from .bptree import BPlusTree
 from .config import TreeConfig
 from .health import HealthMonitor, ReadOnlyError, RetryPolicy
 
-_FORMAT_TAG = "quit-tree-v1"
+_FORMAT_TAG_V1 = "quit-tree-v1"
 _FORMAT_TAG_V2 = "quit-tree-v2"
+_FORMAT_TAG_V3 = "quit-tree-v3"
+
+#: Entries per v3 body record.
+CHUNK_PAIRS = 4096
+
+#: Issues :func:`verify_snapshot` lists before it stops looking.
+_MAX_ISSUES = 8
+
+Pairs = list[tuple[Any, Any]]
 
 
 class PersistenceError(ValueError):
     """Raised for unserializable values or malformed/corrupt files."""
 
 
-def _entry_repr(key: Any, value: Any) -> tuple[str, str]:
-    """Validated ``repr`` pair for one entry; raises PersistenceError."""
-    key_repr = repr(key)
-    value_repr = repr(value)
-    for label, text in (("key", key_repr), ("value", value_repr)):
-        if "\t" in text or "\n" in text:
-            raise PersistenceError(
-                f"{label} {text!r} contains a separator character"
-            )
-        try:
-            ast.literal_eval(text)
-        except (ValueError, SyntaxError):
-            raise PersistenceError(
-                f"{label} {text!r} is not a Python literal; "
-                "only literal keys/values can be persisted"
-            ) from None
-    return key_repr, value_repr
-
-
-def _write_entries(tree: BPlusTree, fh: TextIO, version: int) -> int:
-    # The layout column was appended to the header after the fact;
-    # loaders accept both the 4-column (pre-layout) and 5-column forms.
-    fh.write(
-        f"{_FORMAT_TAG_V2 if version == 2 else _FORMAT_TAG}\t{len(tree)}\t"
-        f"{tree.config.leaf_capacity}\t"
-        f"{tree.config.internal_capacity}\t"
-        f"{tree.config.layout}\n"
-    )
+def _serialize(tree: BPlusTree) -> tuple[bytes, int]:
+    """The v3 image of ``tree`` and its entry count, built chunk by
+    chunk from ``tree.items()``."""
+    records: list[bytes] = []
+    items = iter(tree.items())
     count = 0
-    for key, value in tree.items():
-        key_repr, value_repr = _entry_repr(key, value)
-        body = f"{key_repr}\t{value_repr}"
-        if version == 2:
-            fh.write(f"{zlib.crc32(body.encode('utf-8')):08x}\t{body}\n")
-        else:
-            fh.write(f"{body}\n")
-        count += 1
-    return count
+    while chunk := list(itertools.islice(items, CHUNK_PAIRS)):
+        try:
+            records.append(wal.frame_record((wal.OP_INSERT_MANY, chunk)))
+        except ValueError:
+            raise PersistenceError(
+                f"entries {chunk[0][0]!r}..{chunk[-1][0]!r} hold a key or "
+                "value that is not a Python literal; only literal "
+                "keys/values can be persisted"
+            ) from None
+        count += len(chunk)
+    cfg = tree.config
+    header = (
+        f"{_FORMAT_TAG_V3}\t{count}\t{cfg.leaf_capacity}\t"
+        f"{cfg.internal_capacity}\t{cfg.layout}\n"
+    )
+    return b"".join([header.encode("utf-8"), *records]), count
 
 
 def save_tree(
     tree: BPlusTree,
     path: Union[str, Path],
     *,
-    version: int = 1,
     retry: Optional[RetryPolicy] = None,
     health: Optional[HealthMonitor] = None,
 ) -> int:
-    """Atomically write ``tree`` to ``path``; returns the entry count.
+    """Atomically write ``tree`` to ``path`` as v3; returns the entry count.
 
     Args:
-        tree: any tree variant (anything with ``config``, ``__len__``
-            and ``items()``).
+        tree: any tree variant (anything with ``config``, ``items()``).
         path: destination file, replaced atomically on success.
-        version: 1 for the legacy format, 2 for per-record CRC32.
         retry: when given, transient I/O faults (EIO/ENOSPC) on the
             temp-file write/fsync and the final rename are retried per
             the policy — each write attempt starts the temp file over,
@@ -118,13 +119,9 @@ def save_tree(
     the disk write becomes a single shimmed operation that fault
     injection can tear or rot meaningfully.
     """
-    if version not in (1, 2):
-        raise PersistenceError(f"unknown snapshot version {version}")
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    buffer = io.StringIO()
-    count = _write_entries(tree, buffer, version)
-    data = buffer.getvalue().encode("utf-8")
+    data, count = _serialize(tree)
     failpoints.fire("snapshot.before_tmp_write")
 
     def write_tmp() -> None:
@@ -180,13 +177,125 @@ def _fsync_parent_dir(path: Path) -> None:
         os.close(fd)
 
 
+def _parse(
+    raw: bytes, max_issues: int
+) -> tuple[Optional[TreeConfig], Pairs, list[str]]:
+    """Header config, entries and issues of a snapshot image.
+
+    Parsing stops once more than ``max_issues`` issues are found, so
+    :func:`load_tree` (0) fails on the first one and
+    :func:`verify_snapshot` lists up to :data:`_MAX_ISSUES`.
+    """
+    head, _, body = raw.partition(b"\n")
+    header = head.decode("utf-8", "replace").split("\t")
+    if len(header) not in (4, 5) or header[0] not in (
+        _FORMAT_TAG_V1, _FORMAT_TAG_V2, _FORMAT_TAG_V3
+    ):
+        return None, [], [f"bad header: {head[:80]!r}"]
+    try:
+        expected = int(header[1])
+        config = TreeConfig(
+            leaf_capacity=int(header[2]),
+            internal_capacity=int(header[3]),
+            layout=header[4] if len(header) == 5 else TreeConfig.layout,
+        )
+    except ValueError as exc:
+        return None, [], [f"malformed header {head[:80]!r}: {exc}"]
+    issues: list[str] = []
+    if header[0] == _FORMAT_TAG_V3:
+        pairs = _parse_records(body, len(head) + 1, issues)
+    else:
+        pairs = _parse_lines(
+            body, header[0] == _FORMAT_TAG_V2, issues, max_issues
+        )
+    if len(issues) <= max_issues and len(pairs) != expected:
+        issues.append(f"declares {expected} entries but holds {len(pairs)}")
+    if not issues and not _strictly_sorted(pairs):
+        issues.append("keys are not in strictly ascending order")
+    return config, pairs, issues
+
+
+def _parse_records(body: bytes, base: int, issues: list[str]) -> Pairs:
+    """Entries of a v3 body (at file offset ``base``); damage is
+    appended to ``issues``."""
+    parse = wal.parse_segment(body)
+    pairs: Pairs = []
+    for index, op in enumerate(parse.ops):
+        if not _is_chunk(op):
+            issues.append(f"record {index}: not a chunk of (key, value) pairs")
+            return pairs
+        pairs += op[1]
+    if parse.checksum_failures:
+        issues.append(f"checksum failure at offset {base + parse.offset}")
+    elif parse.truncated:
+        issues.append(f"torn record at offset {base + parse.offset}")
+    return pairs
+
+
+def _is_chunk(op: Any) -> bool:
+    """True for ``("m", [(key, value), ...])`` with at least one pair."""
+    return (
+        type(op) is tuple
+        and len(op) == 2
+        and op[0] == wal.OP_INSERT_MANY
+        and type(op[1]) is list
+        and set(map(type, op[1])) == {tuple}
+        and set(map(len, op[1])) == {2}
+    )
+
+
+def _parse_lines(
+    body: bytes, checksummed: bool, issues: list[str], max_issues: int
+) -> Pairs:
+    """Entries of a v1/v2 body, one ``[crc<TAB>]key<TAB>value`` line
+    each; damage is appended to ``issues``."""
+    try:
+        lines = body.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        issues.append(f"not valid UTF-8: {exc}")
+        return []
+    pairs: Pairs = []
+    for line_no, line in enumerate(lines, start=2):
+        if len(issues) > max_issues:
+            break
+        if not line:
+            continue
+        if checksummed:
+            crc_hex, _, line = line.partition("\t")
+            try:
+                crc = int(crc_hex, 16)
+            except ValueError:
+                issues.append(f"line {line_no}: malformed checksum")
+                continue
+            if zlib.crc32(line.encode("utf-8")) != crc:
+                issues.append(f"line {line_no}: checksum mismatch")
+                continue
+        try:
+            key_repr, value_repr = line.split("\t")
+            pairs.append((
+                ast.literal_eval(key_repr),
+                ast.literal_eval(value_repr),
+            ))
+        except (ValueError, SyntaxError):
+            issues.append(f"line {line_no}: malformed entry")
+    return pairs
+
+
+def _strictly_sorted(pairs: Pairs) -> bool:
+    keys = list(map(operator.itemgetter(0), pairs))
+    try:
+        return all(map(operator.lt, keys, keys[1:]))
+    except TypeError:  # keys of mutually incomparable types
+        return False
+
+
 def load_tree(
     path: Union[str, Path],
     tree_class: Type[BPlusTree] = BPlusTree,
     config: Optional[TreeConfig] = None,
     fill_factor: float = 1.0,
 ) -> BPlusTree:
-    """Rebuild an index saved by :func:`save_tree` (either version).
+    """Rebuild an index saved by :func:`save_tree` (v1, v2 or v3).
 
     Args:
         path: file written by :func:`save_tree`.
@@ -195,78 +304,16 @@ def load_tree(
         fill_factor: leaf packing for the rebuild (1.0 = fully packed).
 
     Raises:
-        PersistenceError: malformed header/entries, an entry count
-            mismatch, (v2) a per-record checksum failure, or a snapshot
+        PersistenceError: anything :func:`verify_snapshot` would report
+            (malformed header or entries, a checksum failure, a torn
+            record, a count mismatch, unsorted keys), or a snapshot
             that stays unreadable after transient-I/O retries.
     """
     path = Path(path)
-    text = _read_snapshot_text(path)
-    lines = text.split("\n")
-    header = lines[0].split("\t")
-    if len(header) not in (4, 5) or header[0] not in (
-        _FORMAT_TAG,
-        _FORMAT_TAG_V2,
-    ):
-        raise PersistenceError(
-            f"{path} is not a {_FORMAT_TAG}/{_FORMAT_TAG_V2} file"
-        )
-    checksummed = header[0] == _FORMAT_TAG_V2
-    try:
-        expected = int(header[1])
-        leaf_capacity = int(header[2])
-        internal_capacity = int(header[3])
-    except ValueError:
-        raise PersistenceError(f"malformed header in {path}") from None
-    if config is None:
-        extra = {}
-        if len(header) == 5:  # pre-layout snapshots omit the column
-            if header[4] not in ("gapped", "list"):
-                raise PersistenceError(
-                    f"unknown layout {header[4]!r} in {path}"
-                )
-            extra["layout"] = header[4]
-        config = TreeConfig(
-            leaf_capacity=leaf_capacity,
-            internal_capacity=internal_capacity,
-            **extra,
-        )
-    pairs = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        if checksummed:
-            crc_hex, sep, body = line.partition("\t")
-            if not sep:
-                raise PersistenceError(
-                    f"malformed entry at {path}:{line_no}"
-                )
-            try:
-                crc = int(crc_hex, 16)
-            except ValueError:
-                raise PersistenceError(
-                    f"malformed checksum at {path}:{line_no}"
-                ) from None
-            if zlib.crc32(body.encode("utf-8")) != crc:
-                raise PersistenceError(
-                    f"checksum mismatch at {path}:{line_no}"
-                )
-        else:
-            body = line
-        try:
-            key_repr, value_repr = body.split("\t")
-            pairs.append((
-                ast.literal_eval(key_repr),
-                ast.literal_eval(value_repr),
-            ))
-        except (ValueError, SyntaxError):
-            raise PersistenceError(
-                f"malformed entry at {path}:{line_no}"
-            ) from None
-    if len(pairs) != expected:
-        raise PersistenceError(
-            f"{path} declares {expected} entries but holds {len(pairs)}"
-        )
-    tree = tree_class(config)
+    saved, pairs, issues = _parse(_read_snapshot(path), 0)
+    if issues:
+        raise PersistenceError(f"{path}: {issues[0]}")
+    tree = tree_class(config or saved)
     tree.bulk_load(pairs, fill_factor=fill_factor)
     return tree
 
@@ -284,82 +331,35 @@ def _read_snapshot_bytes(path: Path) -> bytes:
     )
 
 
-def _read_snapshot_text(path: Path) -> str:
-    """Read + decode a snapshot; all failures become PersistenceError
-    (except a genuinely missing file, which stays FileNotFoundError)."""
+def _read_snapshot(path: Path) -> bytes:
+    """Read a snapshot; a read failure becomes PersistenceError (except
+    a genuinely missing file, which stays FileNotFoundError)."""
     try:
-        raw = _read_snapshot_bytes(path)
+        return _read_snapshot_bytes(path)
     except ReadOnlyError as exc:
         cause = exc.__cause__
         if isinstance(cause, FileNotFoundError):
             raise cause
         raise PersistenceError(f"{path} is unreadable: {exc}") from exc
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise PersistenceError(
-            f"{path} is not valid UTF-8 (corrupt?): {exc}"
-        ) from exc
 
 
 def verify_snapshot(path: Union[str, Path]) -> list[str]:
     """CRC/structure-verify a snapshot without rebuilding the tree.
 
     Returns a list of human-readable issues — empty means intact (or no
-    snapshot at all, which is a legal state).  Unlike :func:`load_tree`
-    this never raises and never stops at the first bad record, so the
-    scrubber and the CLI ``verify`` subcommand can report the full
-    damage picture (capped at 8 issues).
+    snapshot at all, which is a legal state) and that :func:`load_tree`
+    succeeds.  Unlike :func:`load_tree` this never raises and does not
+    stop at the first bad line of a v1/v2 file, so the scrubber and the
+    CLI ``verify`` subcommand can report the damage (capped at 8).
     """
     path = Path(path)
     if not path.exists():
         return []
-    issues: list[str] = []
     try:
         raw = _read_snapshot_bytes(path)
     except (ReadOnlyError, OSError) as exc:
         return [f"unreadable: {exc}"]
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return [f"not valid UTF-8: {exc}"]
-    lines = text.split("\n")
-    header = lines[0].split("\t")
-    if len(header) not in (4, 5) or header[0] not in (
-        _FORMAT_TAG,
-        _FORMAT_TAG_V2,
-    ):
-        return [f"bad header: {lines[0][:80]!r}"]
-    checksummed = header[0] == _FORMAT_TAG_V2
-    try:
-        expected = int(header[1])
-    except ValueError:
-        return [f"malformed entry count {header[1]!r}"]
-    entries = 0
-    suppressed = False
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        if len(issues) >= 8:
-            issues.append("... (further issues suppressed)")
-            suppressed = True
-            break
-        if checksummed:
-            crc_hex, sep, body = line.partition("\t")
-            if not sep:
-                issues.append(f"line {line_no}: malformed entry")
-                continue
-            try:
-                crc = int(crc_hex, 16)
-            except ValueError:
-                issues.append(f"line {line_no}: malformed checksum")
-                continue
-            if zlib.crc32(body.encode("utf-8")) != crc:
-                issues.append(f"line {line_no}: checksum mismatch")
-                continue
-        entries += 1
-    if not suppressed and entries != expected:
-        issues.append(
-            f"declares {expected} entries but holds {entries}"
-        )
+    issues = _parse(raw, _MAX_ISSUES)[2]
+    if len(issues) > _MAX_ISSUES:
+        issues[_MAX_ISSUES:] = ["... (further issues suppressed)"]
     return issues

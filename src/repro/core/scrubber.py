@@ -10,7 +10,9 @@ durable artifacts *while the tree is healthy*:
   CRC32s (the active segment is deliberately skipped: its tail is in
   flux, and replay's torn-tail tolerance owns it);
 * **the checkpoint snapshot** is verified with
-  :func:`repro.core.persist.verify_snapshot` (per-line CRC32 for v2).
+  :func:`repro.core.persist.verify_snapshot`: per-record CRC32 for v3
+  (the WAL's framing), per-line CRC32 for legacy v2, and the same
+  structure checks ``load_tree`` applies.
 
 Verification runs under the tree's checkpoint gate (shared side) so a
 concurrent checkpoint cannot unlink a segment mid-read, and is *paced*:
@@ -47,7 +49,7 @@ from ..concurrency import sanitizer
 from .durable import SNAPSHOT_NAME, WAL_DIRNAME, DurableTree
 from .health import ReadOnlyError
 from .persist import verify_snapshot
-from .wal import _parse_segment, _read_segment, _segment_seq, segment_paths
+from .wal import _read_segment, _segment_seq, parse_segment, segment_paths
 
 QUARANTINE_DIRNAME = "quarantine"
 
@@ -212,7 +214,7 @@ class Scrubber:
                 report.corrupt_paths.append(seg)
                 continue
             report.bytes_checked += len(data)
-            parse = _parse_segment(data)
+            parse = parse_segment(data)
             if parse.intact:
                 continue
             if parse.checksum_failures:
@@ -354,7 +356,7 @@ def verify_artifacts(
             issues.append(f"unreadable: {exc}")
             out[str(seg)] = issues
             continue
-        parse = _parse_segment(data)
+        parse = parse_segment(data)
         if parse.checksum_failures:
             issues.append(f"checksum failure at offset {parse.offset}")
         elif parse.truncated and seg != segments[-1]:

@@ -11,9 +11,10 @@ int keys and values in int64 range is written in the packed form of
 a key column and a value column, each the narrowest of int32/int64 that
 holds its entries.  Every other record — ``insert``, ``delete``, epoch
 markers, and batches holding floats, strings, tuples, ``None``,
-``bool`` or ints beyond int64 — is the ``repr`` of a Python literal
-(the same discipline as :mod:`repro.core.persist`, so exactly the
-key/value types a snapshot can hold are loggable).  Packed tags sit in
+``bool`` or ints beyond int64 — is the ``repr`` of a Python literal.
+A v3 snapshot body (:mod:`repro.core.persist`) is a run of these same
+framed ``insert_many`` records, so exactly the key/value types a
+snapshot can hold are loggable.  Packed tags sit in
 0x01-0x1F, where no ``repr`` starts, so the decoder picks the form from
 the first payload byte and logs written before the packed form existed
 replay unchanged.  The reverse does not hold: older code counts a
@@ -157,6 +158,11 @@ class CommitTicket:
         self._event.set()
 
 
+#: Field types whose ``repr`` always parses back to an equal value.
+#: Exact types only: a subclass may override ``__repr__``.
+_PLAIN_TYPES = (int, str, bool, type(None))
+
+
 def _encode(op: tuple) -> bytes:
     """Serialize an op tuple: packed for an all-int ``insert_many``,
     else as a Python literal.
@@ -164,21 +170,31 @@ def _encode(op: tuple) -> bytes:
     Round-trippability is enforced at append time so a bad value
     corrupts nothing: the packer's exact-type and range checks, or a
     ``literal_eval`` of the repr, reject the record before any byte
-    hits the log.
+    hits the log.  A record whose fields are all of ``_PLAIN_TYPES``
+    (single-key ops and epoch markers, usually) needs no parse to
+    prove it; floats keep the check, since ``repr(nan)`` does not
+    parse.
     """
     if op[0] == OP_INSERT_MANY:
         packed = codec.pack(op[1])
         if packed is not None and packed[0] == codec.TAG_PAIRS:
             return packed
     text = repr(op)
-    try:
-        ast.literal_eval(text)
-    except (ValueError, SyntaxError):
-        raise WALError(
-            f"op {text!r} is not a Python literal; only literal "
-            "keys/values can be logged"
-        ) from None
+    if not all(type(field) in _PLAIN_TYPES for field in op):
+        try:
+            ast.literal_eval(text)
+        except (ValueError, SyntaxError):
+            raise WALError(
+                f"op {text!r} is not a Python literal; only literal "
+                "keys/values can be logged"
+            ) from None
     return text.encode("utf-8")
+
+
+def frame_record(op: tuple) -> bytes:
+    """One framed record, ``<len><crc32><payload>``, for ``op``."""
+    payload = _encode(op)
+    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 def _decode(payload: bytes) -> tuple:
@@ -294,7 +310,7 @@ def _read_segment(path: Path) -> bytes:
 
 
 @dataclass
-class _SegmentParse:
+class SegmentParse:
     """Prefix-valid parse of one segment's bytes."""
 
     ops: list[tuple]
@@ -308,7 +324,13 @@ class _SegmentParse:
         return self.offset == self.size and not self.truncated
 
 
-def _parse_segment(data: bytes) -> _SegmentParse:
+def parse_segment(data: bytes) -> SegmentParse:
+    """Decode the valid prefix of a run of framed records.
+
+    Stops at the first torn or checksum-failing record; the result says
+    where and why.  Shared by replay, the scrubber and the v3 snapshot
+    body (:mod:`repro.core.persist`), which is framed the same way.
+    """
     ops: list[tuple] = []
     offset = 0
     n = len(data)
@@ -337,7 +359,7 @@ def _parse_segment(data: bytes) -> _SegmentParse:
             break
         ops.append(op)
         offset = end
-    return _SegmentParse(ops, offset, n, truncated, checksum_failures)
+    return SegmentParse(ops, offset, n, truncated, checksum_failures)
 
 
 def replay_wal(directory: Union[str, Path]) -> WALReplayResult:
@@ -377,14 +399,14 @@ def replay_wal(directory: Union[str, Path]) -> WALReplayResult:
         prev_seq = seq
         result.segments_scanned += 1
         is_last = seg == segments[-1]
-        parse: Optional[_SegmentParse] = None
+        parse: Optional[SegmentParse] = None
         for _ in range(_REREAD_ATTEMPTS):
             try:
                 data = _read_segment(seg)
             except ReadOnlyError:
                 result.read_failures += 1
                 continue
-            parse = _parse_segment(data)
+            parse = parse_segment(data)
             if parse.intact or (is_last and parse.checksum_failures == 0):
                 # Fully valid, or only a torn tail on the final segment
                 # (a legitimately in-flight append): believe it.
@@ -874,10 +896,7 @@ class WriteAheadLog:
             # identical ack semantics to "always", amortized fsync cost.
             self._enqueue_group(op).wait()
             return
-        payload = _encode(op)
-        record = (
-            _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        )
+        record = frame_record(op)
         with self._lock:
             failpoints.fire("wal.before_append")
             fh = self._fh
@@ -914,10 +933,7 @@ class WriteAheadLog:
         ``group_queue_max`` records.  The returned ticket resolves only
         after the batch containing this record has been fsynced.
         """
-        payload = _encode(op)
-        record = (
-            _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        )
+        record = frame_record(op)
         failpoints.fire("wal.before_append")
         ticket = CommitTicket()
         while True:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
@@ -100,3 +101,20 @@ def validate_tree(tree) -> None:
     """Validate with min-fill relaxed (QuIT variants create small
     leaves by design)."""
     tree.validate(check_min_fill=False)
+
+
+def legacy_snapshot_bytes(items, config: TreeConfig, version: int) -> bytes:
+    """A v1 or v2 text snapshot of sorted ``items``, byte for byte as
+    writers before the v3 format produced it (``test_snapshot_compat``
+    checks this against the committed fixtures)."""
+    tag = "quit-tree-v2" if version == 2 else "quit-tree-v1"
+    lines = [
+        f"{tag}\t{len(items)}\t{config.leaf_capacity}\t"
+        f"{config.internal_capacity}\t{config.layout}"
+    ]
+    for key, value in items:
+        body = f"{key!r}\t{value!r}"
+        if version == 2:
+            body = f"{zlib.crc32(body.encode('utf-8')):08x}\t{body}"
+        lines.append(body)
+    return ("\n".join(lines) + "\n").encode("utf-8")

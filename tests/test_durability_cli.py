@@ -78,7 +78,7 @@ class TestBench:
         )
         assert code == 0
         text = out.getvalue()
-        assert "checkpoint (v2 snapshot)" in text
+        assert "checkpoint (v3 snapshot)" in text
         assert "recovery (snapshot+replay)" in text
         assert "recovered 2200 entries (200 WAL records replayed)" in text
         assert "clean=True" in text

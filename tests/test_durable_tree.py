@@ -12,6 +12,7 @@ from repro.core import (
     PersistenceError,
     QuITTree,
     TreeConfig,
+    codec,
     load_tree,
     save_tree,
 )
@@ -19,7 +20,7 @@ from repro.core.durable import SNAPSHOT_NAME, WAL_DIRNAME
 from repro.core.wal import replay_wal, segment_paths
 from repro.testing import SimulatedCrash, failpoints
 
-from conftest import ALL_TREE_CLASSES
+from conftest import ALL_TREE_CLASSES, legacy_snapshot_bytes
 
 
 CFG = TreeConfig(leaf_capacity=8, internal_capacity=8)
@@ -89,18 +90,23 @@ class TestCheckpoint:
         assert report.records_replayed == 1
         assert len(recovered) == 501 and recovered.get(1000) == "post"
 
-    def test_snapshot_is_v2_checksummed(self, tmp_path):
+    def test_snapshot_is_v3_checksummed(self, tmp_path):
         t = DurableTree(BPlusTree(CFG), tmp_path)
         t.insert_many([(i, i) for i in range(100)])
         t.checkpoint()
         snapshot = tmp_path / SNAPSHOT_NAME
-        assert snapshot.read_text().startswith("quit-tree-v2\t")
-        # Flip a payload character: load must reject, not mis-rebuild.
-        text = snapshot.read_text().splitlines()
-        line = text[10]
-        crc, key, value = line.split("\t")
-        text[10] = f"{crc}\t{key}\t{int(value) + 1}"
-        snapshot.write_text("\n".join(text) + "\n")
+        data = bytearray(snapshot.read_bytes())
+        head, _, body = bytes(data).partition(b"\n")
+        assert head == b"quit-tree-v3\t100\t8\t8\tgapped"
+        # One framed record, <len u32><crc32 u32><payload>, whose payload
+        # is a packed chunk: tag, u32 count, then int32 key and value
+        # columns behind a width byte each.
+        length = int.from_bytes(body[:4], "little")
+        assert len(body) == 8 + length == 8 + 1 + 4 + 2 * (1 + 4 * 100)
+        assert body[8] == codec.TAG_PAIRS
+        # Flip a bit of value 10: load must reject, not mis-rebuild.
+        data[len(head) + 1 + 8 + 1 + 4 + 1 + 400 + 1 + 40] ^= 0x01
+        snapshot.write_bytes(bytes(data))
         with pytest.raises(PersistenceError, match="checksum"):
             load_tree(snapshot)
 
@@ -108,7 +114,9 @@ class TestCheckpoint:
         legacy = BPlusTree(CFG)
         for i in range(200):
             legacy.insert(i, i)
-        save_tree(legacy, tmp_path / SNAPSHOT_NAME)  # v1 writer
+        (tmp_path / SNAPSHOT_NAME).write_bytes(
+            legacy_snapshot_bytes(list(legacy.items()), CFG, version=1)
+        )
         recovered, report = DurableTree.recover(tmp_path, QuITTree)
         assert report.snapshot_loaded and report.snapshot_entries == 200
         assert reference_state(recovered.tree) == reference_state(legacy)

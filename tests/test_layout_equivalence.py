@@ -28,6 +28,8 @@ from repro.core import (
 )
 from repro.core.node import GappedLeafNode, LeafNode, make_leaf
 
+from conftest import legacy_snapshot_bytes
+
 VARIANTS = (
     BPlusTree,
     TailBPlusTree,
@@ -126,10 +128,13 @@ class TestRandomWorkloadEquivalence:
 
 class TestPersistRoundTrip:
     @pytest.mark.parametrize("layout", ["gapped", "list"])
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_snapshot_round_trip_preserves_entries(
         self, tmp_path, layout, version
     ):
+        # v3 is what save_tree writes; v1/v2 are the legacy text
+        # formats load_tree still reads.
+        from repro.core import codec
         from repro.core.persist import load_tree, save_tree
 
         t = QuITTree(cfg(layout))
@@ -137,7 +142,17 @@ class TestPersistRoundTrip:
         for _ in range(500):
             t.insert(rng.randrange(KEYSPACE), rng.randrange(10**6))
         path = tmp_path / "tree.snap"
-        save_tree(t, path, version=version)
+        if version == 3:
+            save_tree(t, path)
+            head, _, body = path.read_bytes().partition(b"\n")
+            assert head.split(b"\t")[:2] == [
+                b"quit-tree-v3", str(len(t)).encode()
+            ]
+            assert body[8] == codec.TAG_PAIRS  # one packed int chunk
+        else:
+            path.write_bytes(
+                legacy_snapshot_bytes(list(t.items()), t.config, version)
+            )
         back = load_tree(path, QuITTree, config=cfg(layout))
         assert list(back.items()) == list(t.items())
         assert back.layout == layout

@@ -6,10 +6,15 @@ from pathlib import Path
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import wal as wal_module
 from repro.core.wal import (
     WALError,
     WriteAheadLog,
+    _decode,
+    _encode,
     repair_wal,
     replay_wal,
     segment_paths,
@@ -75,6 +80,51 @@ class TestAppendAndReplay:
         res = replay_wal(wal_dir)
         assert [op[1] for op in res.ops] == [1, 2]
         assert res.segments_scanned == 2
+
+
+#: Field values of the exact types ``_encode`` trusts without a parse.
+plain_fields = st.one_of(
+    st.integers(),
+    st.text(),
+    st.sampled_from(["\ud800", "tab\there", "\x00", "'\"", "\\"]),
+    st.booleans(),
+    st.none(),
+)
+
+
+class TestPlainRecordEncoding:
+    @settings(max_examples=300, deadline=None)
+    @given(key=plain_fields, value=plain_fields)
+    def test_exact_scalar_records_round_trip(self, key, value):
+        for op in (("i", key, value), ("d", key), ("e", key)):
+            back = _decode(_encode(op))
+            assert back == op
+            assert list(map(type, back)) == list(map(type, op))
+
+    def test_only_exact_scalar_records_skip_the_parse(self, monkeypatch):
+        parsed = []
+        real = wal_module.ast.literal_eval
+        monkeypatch.setattr(
+            wal_module.ast, "literal_eval",
+            lambda text: parsed.append(text) or real(text),
+        )
+        _encode(("i", 1, "one"))
+        _encode(("d", None))
+        _encode(("e", 7))
+        assert parsed == []
+        _encode(("i", 1, 2.5))
+        _encode(("i", 1, (1, 2)))
+        _encode(("m", [(1, "x")]))
+        assert len(parsed) == 3
+
+    def test_non_round_tripping_fields_are_still_refused(self):
+        class Shouty(int):
+            def __repr__(self) -> str:
+                return "<shouty>"
+
+        for bad in (float("nan"), float("inf"), Shouty(3)):
+            with pytest.raises(WALError):
+                _encode(("i", 1, bad))
 
 
 class TestFsyncPoliciesAndRotation:
