@@ -8,20 +8,15 @@ default-scale numbers recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.bench.harness import BenchScale
 from repro.sortedness import generate_keys
 
-#: Smoke sizing shared by all benchmark files.  ``REPRO_BENCH_LAYOUT``
-#: selects the leaf storage layout (CI's layout job runs the gates under
-#: both); default is the tree default, the gapped slot-array layout.
+#: Smoke sizing shared by all benchmark files.
 SCALE = BenchScale(
     n=20_000, leaf_capacity=64, point_lookups=500, range_lookups=20,
     repeats=1, seed=42,
-    layout=os.environ.get("REPRO_BENCH_LAYOUT", "gapped"),
 )
 
 

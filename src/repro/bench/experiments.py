@@ -606,12 +606,15 @@ def exp_betree(scale: Optional[BenchScale] = None) -> ExperimentResult:
     result = ExperimentResult(
         exp_id="betree",
         title="Be-tree baseline: amortized but sortedness-unaware (§6)",
-        columns=["k_pct", "betree_x", "quit_x", "betree_moves_per_insert"],
+        columns=[
+            "k_pct", "betree_x", "quit_x", "betree_moves_per_insert",
+            "quit_fast_insert_fraction",
+        ],
         notes=[
             "betree_moves_per_insert = buffered message hops per insert; "
             "it is ~flat across K (the amortization is oblivious to "
             "sortedness), unlike QuIT's sortedness-proportional "
-            "fast-insert fraction.",
+            "quit_fast_insert_fraction.",
         ],
     )
     for k in (0.0, 0.05, 0.25, 1.0):
@@ -634,6 +637,7 @@ def exp_betree(scale: Optional[BenchScale] = None) -> ExperimentResult:
                 be.stats.messages_moved
                 / max(1, be.stats.messages_enqueued)
             ),
+            "quit_fast_insert_fraction": qt.tree.stats.fast_insert_fraction,
         })
     return result
 

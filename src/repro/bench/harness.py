@@ -57,8 +57,6 @@ class BenchScale:
         batch_size: when set, ingestion applies keys in chunks of this
             size through ``insert_many`` instead of one ``insert`` per
             key (the batched sorted-run ingest path).
-        layout: leaf storage layout (``"gapped"`` slot arrays, the
-            default, or the legacy ``"list"`` baseline).
     """
 
     n: int = 100_000
@@ -69,7 +67,6 @@ class BenchScale:
     seed: int = 42
     repeats: int = 2
     batch_size: Optional[int] = None
-    layout: str = "gapped"
 
     @classmethod
     def smoke(cls) -> "BenchScale":
@@ -101,7 +98,6 @@ class BenchScale:
         return TreeConfig(
             leaf_capacity=self.leaf_capacity,
             internal_capacity=self.leaf_capacity,
-            layout=self.layout,
         )
 
     @property

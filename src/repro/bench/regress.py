@@ -35,7 +35,6 @@ import tempfile
 import threading
 import time
 from collections import deque
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -150,7 +149,6 @@ def _meta(
         command += f" --read-batch-size {read_batch_size}"
     command += (
         f" --leaf-capacity {scale.leaf_capacity}"
-        f" --layout {scale.layout}"
         f" --seed {scale.seed} --repeats {scale.repeats}"
     )
     meta: dict[str, Any] = {
@@ -167,7 +165,6 @@ def _meta(
     meta.update(
         {
             "leaf_capacity": scale.leaf_capacity,
-            "layout": scale.layout,
             "seed": scale.seed,
             "repeats": scale.repeats,
             "python": platform.python_version(),
@@ -404,73 +401,6 @@ def run_mixed_regression(
     }
 
 
-#: Variants whose fast paths gate the gapped-layout acceptance: the
-#: gapped slot-array leaves must beat the list baseline on per-key
-#: insert throughput for each of these.
-FAST_PATH_VARIANTS = ("tail-B+-tree", "lil-B+-tree", "pole-B+-tree", "QuIT")
-
-
-def run_layout_ab(
-    scale: BenchScale, k_fraction: float, l_fraction: float
-) -> dict[str, Any]:
-    """Measure gapped vs list per-key insert throughput, interleaved.
-
-    Cross-process comparisons of the two layouts are dominated by
-    machine noise (2-3x swings between otherwise-identical runs), so
-    both layouts are timed **within one process**, alternating which
-    goes first each repeat, GC paused, best-of-``scale.repeats`` per
-    side.  That is the only methodology that produced stable ratios
-    during development; treat any single-layout cross-run delta with
-    suspicion.
-    """
-    keys = [
-        int(k)
-        for k in generate_keys(
-            scale.n, k_fraction, l_fraction, seed=scale.seed
-        )
-    ]
-    scales = {
-        layout: replace(scale, layout=layout)
-        for layout in ("gapped", "list")
-    }
-    repeats = max(1, scale.repeats)
-    results = []
-    for name in FAST_PATH_VARIANTS:
-        best = {"gapped": float("inf"), "list": float("inf")}
-        for rep in range(repeats):
-            order = (
-                ("gapped", "list") if rep % 2 == 0 else ("list", "gapped")
-            )
-            for layout in order:
-                tree = make_tree(name, scales[layout])
-                insert = tree.insert
-                with _gc_paused():
-                    start = time.perf_counter()
-                    for k in keys:
-                        insert(k, k)
-                    best[layout] = min(
-                        best[layout], time.perf_counter() - start
-                    )
-        results.append(
-            {
-                "index": name,
-                "gapped_per_key_seconds": round(best["gapped"], 6),
-                "list_per_key_seconds": round(best["list"], 6),
-                "gapped_per_key_ops": round(scale.n / best["gapped"], 1),
-                "list_per_key_ops": round(scale.n / best["list"], 1),
-                "gapped_over_list": round(
-                    best["list"] / best["gapped"], 3
-                ),
-            }
-        )
-    meta = _meta(
-        "gapped vs list leaf layout: interleaved per-key insert A/B",
-        "layout", scale, k_fraction, l_fraction,
-        scale.batch_size or scale.n,
-    )
-    return {"meta": meta, "results": results}
-
-
 #: fsync policies compared by ``--mode durability``, reporting order.
 DURABILITY_POLICIES = ("always", "group", "interval", "none")
 
@@ -570,10 +500,10 @@ def run_durability_regression(
 ) -> dict[str, Any]:
     """Durable-ingest throughput: fsync policy × writers × batch size.
 
-    Like :func:`run_layout_ab`, every policy of a cell is timed
-    **within one process**, alternating which policy goes first each
-    repeat (cross-process fsync comparisons swing with page-cache and
-    scheduler state), best-of-``scale.repeats`` per policy.  The
+    Every policy of a cell is timed **within one process**, alternating
+    which policy goes first each repeat (cross-process fsync comparisons
+    swing with page-cache and scheduler state), best-of-``scale.repeats``
+    per policy.  The
     headline cell is ``writers=8, batch=1``: per-key pipelined submits,
     where ``fsync="group"`` amortizes one fsync over every record the
     flusher drains while ``"always"`` pays one per op.
@@ -791,15 +721,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mode",
         choices=(
-            "ingest", "reads", "mixed", "layout", "durability", "network",
+            "ingest", "reads", "mixed", "durability", "network",
         ),
         default="ingest",
         help=(
             "ingest: insert vs insert_many (PR 1 baseline); "
             "reads: get vs get_many on a pre-built index; "
             "mixed: interleaved chunked read/write; "
-            "layout: gapped vs list per-key insert A/B, interleaved "
-            "in-process; "
             "durability: durable-ingest fsync-policy A/B over "
             "writers x batch size; "
             "network: loopback-served pipelined ingest vs in-process "
@@ -821,13 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="probe chunk size handed to get_many (reads/mixed modes)",
     )
     parser.add_argument("--leaf-capacity", type=int, default=64)
-    parser.add_argument(
-        "--layout", choices=("gapped", "list"), default="gapped",
-        help=(
-            "leaf storage layout under test: gapped slot arrays "
-            "(default) or the legacy list baseline"
-        ),
-    )
     parser.add_argument(
         "--writers", default="1,8",
         help=(
@@ -872,7 +793,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed=args.seed,
         repeats=repeats,
         batch_size=args.batch_size,
-        layout=args.layout,
     )
     if args.mode == "reads":
         doc = run_read_regression(
@@ -882,8 +802,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         doc = run_mixed_regression(
             scale, args.k, args.l, args.batch_size, args.read_batch_size
         )
-    elif args.mode == "layout":
-        doc = run_layout_ab(scale, args.k, args.l)
     elif args.mode == "durability":
         try:
             writers_axis = [int(w) for w in args.writers.split(",") if w]
@@ -936,13 +854,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"  in-proc {row['inprocess_ops']:>9.0f} ops/s"
                 f"  network {row['network_ops']:>9.0f} ops/s"
                 f"  net/in-proc {row['network_over_inprocess']:.2f}x"
-            )
-        elif args.mode == "layout":
-            print(
-                f"{row['index']:16s}"
-                f" gapped {row['gapped_per_key_ops']:>10.0f} ops/s"
-                f"  list {row['list_per_key_ops']:>10.0f} ops/s"
-                f"  gapped/list {row['gapped_over_list']:.3f}x"
             )
         else:
             print(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional, Union
 
 from ..core.bptree import TreeInvariantError
-from ..core.node import Key, LeafNode, make_leaf
+from ..core.node import Key, LeafNode
 
 
 def _require(
@@ -57,21 +57,13 @@ class BeTreeConfig:
             must flush a batch downward.  In the classical formulation
             ``fanout = B**eps`` and the buffer takes the remaining
             ``B - B**eps`` space; here both are explicit knobs.
-        layout: leaf storage layout (``"gapped"`` or ``"list"``) — the
-            Bε-tree shares the core leaf classes, so it inherits the
-            slot-array layout like every other variant.
     """
 
     leaf_capacity: int = 64
     fanout: int = 8
     buffer_capacity: int = 64
-    layout: str = "gapped"
 
     def __post_init__(self) -> None:
-        if self.layout not in ("gapped", "list"):
-            raise ValueError(
-                f"layout must be 'gapped' or 'list', got {self.layout!r}"
-            )
         if self.leaf_capacity < 4:
             raise ValueError(
                 f"leaf_capacity must be >= 4, got {self.leaf_capacity}"
@@ -90,8 +82,9 @@ class BeTreeStats:
 
     The four gap/typed counters mirror
     :class:`repro.core.stats.TreeStats` — the Bε-tree's leaves are the
-    shared core leaf classes, which report their layout events into
-    whatever stats receiver they are wired to.
+    shared core :class:`~repro.core.node.LeafNode`, which reports its
+    gap and typed-slab events into whatever stats receiver it is wired
+    to.
     """
 
     messages_enqueued: int = 0
@@ -107,17 +100,12 @@ class BeTreeStats:
     typed_demotions: int = 0
 
 
-#: Bε-tree leaves are the shared core leaf classes (list or gapped),
-#: so the layout work lands in one place for every variant.
-_Leaf = LeafNode
-
-
 class _Internal:
     __slots__ = ("pivots", "children", "buffer")
 
     def __init__(self) -> None:
         self.pivots: list[Key] = []
-        self.children: list[Union["_Internal", _Leaf]] = []
+        self.children: list[Union["_Internal", LeafNode]] = []
         # key -> (op, value); newest message for the key at this level.
         self.buffer: dict[Key, tuple[str, Any]] = {}
 
@@ -131,7 +119,7 @@ class _Internal:
         return bisect_right(self.pivots, key)
 
 
-_Node = Union[_Internal, _Leaf]
+_Node = Union[_Internal, LeafNode]
 
 
 class BeTree:
@@ -145,14 +133,8 @@ class BeTree:
         self.stats = BeTreeStats()
         self._root: _Node = self._new_leaf()
 
-    @property
-    def layout(self) -> str:
-        """Leaf storage layout this tree was built with."""
-        return self.config.layout
-
-    def _new_leaf(self) -> _Leaf:
-        return make_leaf(
-            self.config.layout,
+    def _new_leaf(self) -> LeafNode:
+        return LeafNode(
             self.config.leaf_capacity,
             self.stats,  # type: ignore[arg-type]
         )
@@ -249,7 +231,7 @@ class BeTree:
                 child_idx = node.children.index(inner)
 
     def _apply_to_leaf(
-        self, leaf: _Leaf, key: Key, message: tuple[str, Any]
+        self, leaf: LeafNode, key: Key, message: tuple[str, Any]
     ) -> None:
         self.stats.leaf_applies += 1
         op, value = message
@@ -265,7 +247,7 @@ class BeTree:
     # ------------------------------------------------------------------
 
     def _split_root_leaf(self) -> None:
-        leaf: _Leaf = self._root
+        leaf: LeafNode = self._root
         right, pivot = self._split_leaf(leaf)
         root = _Internal()
         root.pivots = [pivot]
@@ -280,9 +262,9 @@ class BeTree:
         root.children = [node, right]
         self._root = root
 
-    def _split_leaf(self, leaf: _Leaf) -> tuple[_Leaf, Key]:
+    def _split_leaf(self, leaf: LeafNode) -> tuple[LeafNode, Key]:
         self.stats.leaf_splits += 1
-        # split_at clones the leaf's layout and fixes the chain links.
+        # split_at sizes the sibling's slab and fixes the chain links.
         return leaf.split_at(leaf.size // 2)
 
     def _split_internal(self, node: _Internal) -> tuple[_Internal, Key]:
@@ -521,7 +503,7 @@ class BeTree:
         collects every violation into ``errors`` when provided."""
         self._validate_node(self._root, None, None, errors)
         # Leaf chain strictly ascends.
-        leaves: list[_Leaf] = []
+        leaves: list[LeafNode] = []
         stack: list[_Node] = [self._root]
         while stack:
             node = stack.pop()

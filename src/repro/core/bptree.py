@@ -24,7 +24,7 @@ from .config import (
     PIVOT_BYTES,
     TreeConfig,
 )
-from .node import GappedLeafNode, InternalNode, Key, LeafNode, Node, make_leaf
+from .node import InternalNode, Key, LeafNode, Node
 from .stats import OccupancyStats, ScrubReport, TreeStats
 
 
@@ -85,22 +85,12 @@ class BPlusTree:
         self._size = 0
         self._height = 1
 
-    @property
-    def layout(self) -> str:
-        """Leaf storage layout this tree was built with (``"gapped"`` or
-        ``"list"``); part of the layout-selection surface every variant
-        facade exposes."""
-        return self.config.layout
-
     def _new_leaf(self) -> LeafNode:
-        """Fresh leaf in the configured layout.  Every code path that
-        materializes a leaf (root, splits, bulk loads, run-overflow
-        rebuilds) must route through here (or through
-        :meth:`LeafNode.split_at`, which clones the layout) so a tree
-        never mixes layouts."""
-        return make_leaf(
-            self.config.layout, self.config.leaf_capacity, self.stats
-        )
+        """Fresh empty leaf with a ``leaf_capacity``-slot slab wired to
+        this tree's stats.  Every code path that materializes a leaf
+        (root, bulk loads, run-overflow rebuilds) routes through here;
+        splits go through :meth:`LeafNode.split_at`."""
+        return LeafNode(self.config.leaf_capacity, self.stats)
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -787,8 +777,8 @@ class BPlusTree:
             leaves.append(leaf)
         # Avoid leaving a lonely sub-min-fill last leaf: steal from its
         # predecessor so deletes keep their invariants.  Whole-list
-        # reassignment (not in-place splicing) so the gapped layout's
-        # bridge setters repack correctly.
+        # reassignment (not in-place splicing) so the leaf's bridge
+        # setters repack correctly.
         if len(leaves) > 1 and leaves[-1].size < self._min_leaf_fill():
             last, prev = leaves[-1], leaves[-2]
             need = self._min_leaf_fill() - last.size
@@ -1431,33 +1421,26 @@ class BPlusTree:
         if node.is_leaf:
             leaf: LeafNode = node  # type: ignore[assignment]
             require(depth == 1, "leaves must share one level", errors)
-            if isinstance(leaf, GappedLeafNode):
-                require(
-                    len(leaf.skeys) == len(leaf.svals),
-                    f"slot slab length mismatch in {leaf!r}",
-                    errors,
-                )
-                require(
-                    0 <= leaf.fill <= len(leaf.skeys),
-                    f"fill outside slot slab in {leaf!r}",
-                    errors,
-                )
-                require(
-                    0 <= leaf.gap <= leaf.fill,
-                    f"gap cursor outside live range in {leaf!r}",
-                    errors,
-                )
-                require(
-                    len(leaf.skeys) >= self.config.leaf_capacity,
-                    f"slot slab below capacity in {leaf!r}",
-                    errors,
-                )
-            else:
-                require(
-                    len(leaf.keys) == len(leaf.values),
-                    f"keys/values length mismatch in {leaf!r}",
-                    errors,
-                )
+            require(
+                len(leaf.skeys) == len(leaf.svals),
+                f"slot slab length mismatch in {leaf!r}",
+                errors,
+            )
+            require(
+                0 <= leaf.fill <= len(leaf.skeys),
+                f"fill outside slot slab in {leaf!r}",
+                errors,
+            )
+            require(
+                0 <= leaf.gap <= leaf.fill,
+                f"gap cursor outside live range in {leaf!r}",
+                errors,
+            )
+            require(
+                len(leaf.skeys) >= self.config.leaf_capacity,
+                f"slot slab below capacity in {leaf!r}",
+                errors,
+            )
             require(
                 leaf.size <= self.config.leaf_capacity,
                 f"leaf {leaf!r} above capacity",

@@ -51,23 +51,14 @@ class TreeConfig:
         reset_after: number of consecutive top-inserts after which QuIT
             resets a stale ``pole`` (``T_R``).  Defaults to
             ``floor(sqrt(leaf_capacity))``.
-        layout: leaf storage layout — ``"gapped"`` (default) for the
-            slot-array layout with gap pools and typed-array key
-            domains, ``"list"`` for the classic compact parallel lists
-            (the pre-gapped baseline, kept for comparison benchmarks).
     """
 
     leaf_capacity: int = DEFAULT_LEAF_CAPACITY
     internal_capacity: int = DEFAULT_INTERNAL_CAPACITY
     ikr_scale: float = PAPER_IKR_SCALE
     reset_after: int = field(default=-1)
-    layout: str = "gapped"
 
     def __post_init__(self) -> None:
-        if self.layout not in ("gapped", "list"):
-            raise ValueError(
-                f"layout must be 'gapped' or 'list', got {self.layout!r}"
-            )
         if self.leaf_capacity < 4:
             raise ValueError(
                 f"leaf_capacity must be >= 4, got {self.leaf_capacity}"

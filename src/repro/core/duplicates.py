@@ -197,11 +197,6 @@ class DuplicateKeyIndex:
         """Underlying tree statistics (fast-insert counters etc.)."""
         return self.tree.stats
 
-    @property
-    def layout(self) -> str:
-        """Leaf storage layout of the underlying tree."""
-        return self.tree.layout
-
     def validate(self) -> None:
         """Validate the underlying tree."""
         self.tree.validate(check_min_fill=False)

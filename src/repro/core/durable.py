@@ -322,11 +322,6 @@ class DurableTree:
         return self.tree.config
 
     @property
-    def layout(self) -> str:
-        """Leaf storage layout of the wrapped tree."""
-        return self.tree.config.layout
-
-    @property
     def stats(self) -> TreeStats:
         """Tree counters with the WAL's durability counters mirrored in.
 

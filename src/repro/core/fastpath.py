@@ -9,13 +9,12 @@ inherited from :class:`~repro.core.bptree.BPlusTree`.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Any, Iterable, Optional
 
 from .bptree import BPlusTree
 from .config import TreeConfig
 from .metadata import FastPathState
-from .node import GappedLeafNode, Key, LeafNode
+from .node import Key, LeafNode
 from .stats import ScrubReport
 
 
@@ -26,10 +25,9 @@ class FastPathTree(BPlusTree):
         super().__init__(config)
         self._fp = self._make_fp_state()
         self._fp.leaf = self._head
-        # Branch once here, not per insert: the gapped fast path inlines
-        # the slot-claim against the leaf's slot arrays directly.  The
-        # capacity is cached for the same reason (config is frozen).
-        self._gapped = self.config.layout == "gapped"
+        # The fast path inlines the slot claim against the leaf's slot
+        # arrays; the capacity is cached so it is not re-read from the
+        # (frozen) config on every insert.
         self._leaf_cap = self.config.leaf_capacity
 
     def _make_fp_state(self) -> FastPathState:
@@ -60,60 +58,40 @@ class FastPathTree(BPlusTree):
         if self._fast_path_accepts(key):
             self.stats.fast_inserts += 1
             fp = self._fp
-            leaf = fp.leaf
-            if self._gapped:
-                # Slot-array fast path: an insert landing at the leaf's
-                # gap cursor is two comparisons and two C-level stores —
-                # no bisect, no shifting.  The slab is always at least
-                # leaf_capacity long, so ``fill < capacity`` implies a
-                # gap slot exists.  (``gap_hits`` is counted only on the
-                # out-of-line ``insert_entry`` path — a per-hit counter
-                # bump here would cost as much as the shift it avoids.)
-                gleaf: GappedLeafNode = leaf  # type: ignore[assignment]
-                fill = gleaf.fill
-                if fill < self._leaf_cap:
-                    gap = gleaf.gap
-                    skeys = gleaf.skeys
-                    if (gap == 0 or skeys[gap - 1] < key) and (
-                        (hi := gleaf.gap_hi) is None or key < hi
-                    ):
-                        try:
-                            skeys[gap] = key
-                        except (TypeError, OverflowError):
-                            gleaf._demote()
-                            gleaf.skeys[gap] = key
-                        gleaf.svals[gap] = value
-                        gleaf.gap = gap + 1
-                        gleaf.fill = fill + 1
-                        self._size += 1
-                    elif gleaf._gap_insert(key, value):
-                        # Cursor miss with gap slots free (fill < cap
-                        # implies the slab has room): skip straight to
-                        # the gap-migrating insert.
-                        self._size += 1
-                else:
-                    leaf, _, _ = self._leaf_insert(
-                        gleaf, key, value, fp.low, fp.high
-                    )
+            # ``accepts`` is False while the leaf is unset.
+            leaf: LeafNode = fp.leaf  # type: ignore[assignment]
+            # Slot-array fast path: an insert landing at the leaf's gap
+            # cursor is two comparisons and two C-level stores — no
+            # bisect, no shifting.  The slab is always at least
+            # leaf_capacity long, so ``fill < capacity`` implies a gap
+            # slot exists.  (``gap_hits`` is counted only on the
+            # out-of-line ``insert_entry`` path — a per-hit counter bump
+            # here would cost as much as the shift it avoids.)
+            fill = leaf.fill
+            if fill < self._leaf_cap:
+                gap = leaf.gap
+                skeys = leaf.skeys
+                if (gap == 0 or skeys[gap - 1] < key) and (
+                    (hi := leaf.gap_hi) is None or key < hi
+                ):
+                    try:
+                        skeys[gap] = key
+                    except (TypeError, OverflowError):
+                        leaf._demote()
+                        leaf.skeys[gap] = key
+                    leaf.svals[gap] = value
+                    leaf.gap = gap + 1
+                    leaf.fill = fill + 1
+                    self._size += 1
+                elif leaf._gap_insert(key, value):
+                    # Cursor miss with gap slots free (fill < cap implies
+                    # the slab has room): skip straight to the
+                    # gap-migrating insert.
+                    self._size += 1
             else:
-                keys = leaf.keys
-                if len(keys) < self._leaf_cap:
-                    if not keys or key > keys[-1]:
-                        keys.append(key)
-                        leaf.values.append(value)
-                        self._size += 1
-                    else:
-                        idx = bisect_left(keys, key)
-                        if keys[idx] == key:
-                            leaf.values[idx] = value
-                        else:
-                            keys.insert(idx, key)
-                            leaf.values.insert(idx, value)
-                            self._size += 1
-                else:
-                    leaf, _, _ = self._leaf_insert(
-                        leaf, key, value, fp.low, fp.high
-                    )
+                leaf, _, _ = self._leaf_insert(
+                    leaf, key, value, fp.low, fp.high
+                )
             self._after_fast_insert(leaf, key)
         else:
             self._top_insert(key, value)
@@ -245,8 +223,18 @@ class FastPathTree(BPlusTree):
     # Scrubbing (post-recovery hygiene)
     # ------------------------------------------------------------------
 
-    def scrub(self) -> ScrubReport:
-        """Audit the fast-path metadata; reset it when untrustworthy.
+    def validate(
+        self, check_min_fill: bool = True, report: bool = False
+    ) -> Optional[list[str]]:
+        """Structural validation plus the fast-path window invariant
+        (see :meth:`_window_issues`)."""
+        errors = super().validate(check_min_fill, report)
+        for issue in self._window_issues():
+            self._invariant(False, issue, errors)
+        return errors
+
+    def _window_issues(self) -> list[str]:
+        """Violations of the fast-path window invariant.
 
         Inserts and window reads act on ``fp.leaf`` *without a descent*
         whenever a key falls inside ``[fp.low, fp.high)``, so the cached
@@ -255,35 +243,41 @@ class FastPathTree(BPlusTree):
         the wrong leaf (silent order violation) or declares present keys
         absent.  A window *narrower* than the range is merely
         conservative (some fast-path hits degrade to top-inserts) and is
-        left alone.  Any unsafe finding resets the pointer to the tail
-        leaf — always a valid pin — and counts ``stats.scrub_resets``
-        instead of asserting, so a recovered or degraded tree keeps
-        serving.
+        not a violation.  ``fp.leaf`` must also hang off this tree.
         """
-        report = super().scrub()
         fp = self._fp
         leaf = fp.leaf
-        unsafe = False
         if leaf is None:
-            report.issues.append("fast-path leaf unset")
-            unsafe = True
-        elif not self._leaf_attached(leaf):
-            report.issues.append("fast-path leaf detached from tree")
-            unsafe = True
-        else:
+            return ["fast-path leaf unset"]
+        if not self._leaf_attached(leaf):
+            return ["fast-path leaf detached from tree"]
+        try:
             pb_low, pb_high = self.bounds_of_leaf(leaf)
-            if pb_low is not None and (fp.low is None or fp.low < pb_low):
-                report.issues.append(
-                    "fast-path window extends below the leaf's pivot range"
-                )
-                unsafe = True
-            if pb_high is not None and (
-                fp.high is None or fp.high > pb_high
-            ):
-                report.issues.append(
-                    "fast-path window extends above the leaf's pivot range"
-                )
-                unsafe = True
+        except ValueError:
+            return ["fast-path leaf missing from its parent's children"]
+        issues = []
+        if pb_low is not None and (fp.low is None or fp.low < pb_low):
+            issues.append(
+                "fast-path window extends below the leaf's pivot range"
+            )
+        if pb_high is not None and (fp.high is None or fp.high > pb_high):
+            issues.append(
+                "fast-path window extends above the leaf's pivot range"
+            )
+        return issues
+
+    def scrub(self) -> ScrubReport:
+        """Audit the fast-path metadata; reset it when untrustworthy.
+
+        Any violation of the window invariant (:meth:`_window_issues`)
+        resets the pointer to the tail leaf — always a valid pin — and
+        counts ``stats.scrub_resets`` instead of asserting, so a
+        recovered or degraded tree keeps serving.
+        """
+        report = super().scrub()
+        issues = self._window_issues()
+        report.issues.extend(issues)
+        unsafe = bool(issues)
         unsafe |= self._scrub_extra(report)
         if unsafe:
             self._scrub_reset_fp()

@@ -8,24 +8,18 @@ this realizes the paper's ``fp_path[]`` metadata — a split reaches every
 ancestor of the fast-path leaf through the parent chain instead of a cached
 root-to-leaf path.
 
-Two leaf layouts share one API (DESIGN.md, "Gapped leaf layout"):
+Leaves are gapped slot arrays (DESIGN.md §9, "Gapped leaf"): entries
+occupy pre-sized slot arrays whose free slots form a gap pool.  An
+in-order insert *claims* the next gap slot with a plain store instead of
+growing a list, and leaf rebuilds (splits, run overflows, bulk loads)
+re-establish the pool.  For uniform ``int`` / ``float`` key domains the
+key slots are backed by a typed ``array`` (8-byte machine values instead
+of boxed objects), auto-detected at rebuild time with a clean demotion
+back to object lists when a non-conforming key shows up.
 
-* :class:`LeafNode` — the classic layout: compact parallel ``keys`` /
-  ``values`` lists, every mid-leaf insert shifts the tail with
-  ``list.insert``.
-* :class:`GappedLeafNode` — a gapped, slot-array layout: entries occupy
-  the prefix ``[0, fill)`` of pre-sized slot arrays whose tail slots form
-  a gap pool.  An in-order insert *claims* the next gap slot with a plain
-  store instead of growing the list, and leaf rebuilds (splits, run
-  overflows, bulk loads) re-establish the pool.  For uniform ``int`` /
-  ``float`` key domains the key slots are backed by a typed ``array``
-  (8-byte machine values instead of boxed objects), auto-detected at
-  rebuild time with a clean demotion back to object lists when a
-  non-conforming key shows up.
-
-Shared read paths use :meth:`LeafNode.view` — ``(keys, values, n)`` with
-entries live at indices ``[0, n)`` — so one implementation serves both
-layouts without copying.
+Read paths use :meth:`LeafNode.view` — ``(keys, values, n)`` with entries
+live at indices ``[0, n)`` — so they scan the slot arrays without
+copying.
 """
 
 from __future__ import annotations
@@ -45,7 +39,7 @@ Key = Any
 #: Slot storage for gapped keys: an object list or a typed array.
 KeySlots = Union["list[Key]", "array[int]", "array[float]"]
 
-#: Sink for layout counters of leaves constructed outside a tree (unit
+#: Sink for the leaf counters of leaves constructed outside a tree (unit
 #: tests, ad-hoc scripts).  Trees pass their own ``TreeStats`` instead.
 _DETACHED_STATS = TreeStats()
 
@@ -55,9 +49,9 @@ class Node:
 
     __slots__ = ("parent", "node_id")
 
-    #: Sorted pivot keys (internal) or entry keys (leaf).  List-layout
-    #: nodes store a plain list; :class:`GappedLeafNode` serves a packed
-    #: copy of its live slot prefix through a property.
+    #: Sorted pivot keys (internal) or entry keys (leaf).  Internal
+    #: nodes store a plain list; :class:`LeafNode` serves a packed copy
+    #: of its live slot prefix through a property.
     keys: list[Key]
 
     def __init__(self) -> None:
@@ -77,183 +71,8 @@ class Node:
 
 
 class LeafNode(Node):
-    """A leaf node: parallel sorted ``keys`` / ``values`` lists plus chain
-    links to the neighboring leaves."""
-
-    __slots__ = ("keys", "values", "next", "prev")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.keys: list[Key] = []
-        self.values: list[Any] = []
-        self.next: Optional["LeafNode"] = None
-        self.prev: Optional["LeafNode"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        """Always True."""
-        return True
-
-    @property
-    def size(self) -> int:
-        """Number of entries currently stored."""
-        return len(self.keys)
-
-    @property
-    def min_key(self) -> Key:
-        """Smallest key in the leaf (the leaf must be non-empty)."""
-        return self.keys[0]
-
-    @property
-    def max_key(self) -> Key:
-        """Largest key in the leaf (the leaf must be non-empty)."""
-        return self.keys[-1]
-
-    def view(self) -> tuple[Sequence[Key], Sequence[Any], int]:
-        """Zero-copy read view ``(keys, values, n)``.
-
-        Entries are live at indices ``[0, n)``; anything beyond ``n`` is
-        layout-private and must not be read.  Callers must treat the
-        sequences as immutable.
-        """
-        keys = self.keys
-        return keys, self.values, len(keys)
-
-    def find(self, key: Key) -> Optional[int]:
-        """Index of ``key`` in this leaf, or None if absent."""
-        idx = bisect_left(self.keys, key)
-        if idx < len(self.keys) and self.keys[idx] == key:
-            return idx
-        return None
-
-    def value_at(self, idx: int) -> Any:
-        """Value stored at entry index ``idx`` (as returned by
-        :meth:`find`), without materializing the entry lists."""
-        return self.values[idx]
-
-    def insert_entry(self, key: Key, value: Any) -> bool:
-        """Insert ``(key, value)`` preserving sort order.
-
-        Returns True when a new entry was added, False when an existing
-        key's value was overwritten (upsert semantics).
-        """
-        keys = self.keys
-        if not keys or key > keys[-1]:
-            # The in-order append case the fast paths live for.
-            keys.append(key)
-            self.values.append(value)
-            return True
-        idx = bisect_left(keys, key)
-        if keys[idx] == key:
-            self.values[idx] = value
-            return False
-        keys.insert(idx, key)
-        self.values.insert(idx, value)
-        return True
-
-    def append_entry(self, key: Key, value: Any) -> None:
-        """Append an entry known to be greater than every current key."""
-        self.keys.append(key)
-        self.values.append(value)
-
-    def extend_entries(
-        self, run_keys: Sequence[Key], run_values: Sequence[Any]
-    ) -> None:
-        """Append entries known to be greater than every current key."""
-        self.keys.extend(run_keys)
-        self.values.extend(run_values)
-
-    def drop_prefix(self, count: int) -> None:
-        """Delete the first ``count`` entries."""
-        del self.keys[:count]
-        del self.values[:count]
-
-    def remove_at(self, idx: int) -> tuple[Key, Any]:
-        """Remove and return the entry at ``idx``."""
-        return self.keys.pop(idx), self.values.pop(idx)
-
-    def apply_run(self, run_keys: list[Key], run_values: list[Any]) -> int:
-        """Place a strictly-increasing run into this leaf in one motion.
-
-        This is the batch-ingest analogue of :meth:`insert_entry`: instead
-        of N bisects and N ``list.insert`` calls, the run is located with
-        at most two bisects and placed with one slice assignment (or a
-        plain ``extend`` for the in-order append case the fast paths live
-        for).  Existing keys are upserted — the run's value wins.
-
-        The caller is responsible for capacity: the leaf may grow by up to
-        ``len(run_keys)`` entries.  Returns the number of new keys added.
-        """
-        keys = self.keys
-        if not keys or run_keys[0] > keys[-1]:
-            keys.extend(run_keys)
-            self.values.extend(run_values)
-            return len(run_keys)
-        lo = bisect_left(keys, run_keys[0])
-        hi = bisect_right(keys, run_keys[-1], lo)
-        if lo == hi:
-            # The run nests between two adjacent existing keys: pure
-            # slice insertion, no merge needed.
-            keys[lo:lo] = run_keys
-            self.values[lo:lo] = run_values
-            return len(run_keys)
-        merged_keys, merged_vals, added = merge_run(
-            keys[lo:hi], self.values[lo:hi], run_keys, run_values
-        )
-        keys[lo:hi] = merged_keys
-        self.values[lo:hi] = merged_vals
-        return added
-
-    def position_first_greater(self, bound: Key) -> int:
-        """Index of the first key strictly greater than ``bound``.
-
-        This is the ``leaf.position(...)`` primitive of Alg. 2: everything
-        at or beyond the returned index is classified as an outlier by IKR.
-        """
-        return bisect_right(self.keys, bound)
-
-    def _make_sibling(self) -> "LeafNode":
-        """A new, empty leaf of this leaf's layout (split helper)."""
-        return LeafNode()
-
-    def split_at(self, pos: int) -> tuple["LeafNode", Key]:
-        """Split this leaf, moving entries from ``pos`` onward into a new
-        right sibling.  Returns ``(new_right, split_key)``.
-
-        ``pos`` must leave both halves non-empty.  Chain links are fixed
-        here; the caller is responsible for registering the new node with
-        the parent.
-        """
-        if not 0 < pos < self.size:
-            raise ValueError(
-                f"split position {pos} out of range for leaf of "
-                f"size {self.size}"
-            )
-        right = self._make_sibling()
-        self._move_tail_into(right, pos)
-        right.next = self.next
-        if right.next is not None:
-            right.next.prev = right
-        right.prev = self
-        self.next = right
-        right.parent = self.parent
-        return right, right.min_key
-
-    def _move_tail_into(self, right: "LeafNode", pos: int) -> None:
-        """Move entries from ``pos`` onward into the fresh leaf ``right``."""
-        right.keys = self.keys[pos:]
-        right.values = self.values[pos:]
-        del self.keys[pos:]
-        del self.values[pos:]
-
-    def items(self) -> Iterator[tuple[Key, Any]]:
-        """Iterate the leaf's entries in key order."""
-        return zip(self.keys, self.values)
-
-
-class GappedLeafNode(LeafNode):
-    """Gapped, slot-array leaf layout (BS-tree style) behind the
-    :class:`LeafNode` API, with a *migrating gap cursor*.
+    """A leaf node: a gapped slot array (BS-tree style) with a
+    *migrating gap cursor*, plus chain links to the neighboring leaves.
 
     The slab holds ``fill`` live entries plus ``len(skeys) - fill`` gap
     slots.  The gap slots sit **together at the last insertion point**:
@@ -278,7 +97,7 @@ class GappedLeafNode(LeafNode):
     re-opens the gap at the new position, so the cursor migrates to
     wherever the run is landing.  Reads compact lazily the same way;
     rebuilds (:meth:`split_at`, run overflows, bulk loads) repack the
-    live prefix and restore the pool — the layout's "redistribute".
+    live prefix and restore the pool — the leaf's "redistribute".
 
     When every key being packed is a plain ``int`` (within int64) or a
     plain ``float``, the key slab is a typed ``array('q')``/``array('d')``
@@ -287,14 +106,16 @@ class GappedLeafNode(LeafNode):
     object list in place; ``values`` slots are always object lists.
     """
 
-    __slots__ = ("skeys", "svals", "fill", "gap", "gap_hi", "stats")
+    __slots__ = (
+        "skeys", "svals", "fill", "gap", "gap_hi", "stats", "next", "prev"
+    )
 
     def __init__(
         self, capacity: int = 0, stats: Optional[TreeStats] = None
     ) -> None:
-        Node.__init__(self)
-        self.next = None
-        self.prev = None
+        super().__init__()
+        self.next: Optional["LeafNode"] = None
+        self.prev: Optional["LeafNode"] = None
         self.fill: int = 0
         self.gap: int = 0
         # Cached first live key on the far side of the gap (None when the
@@ -328,8 +149,13 @@ class GappedLeafNode(LeafNode):
         self.gap = fill
         self.gap_hi = None
 
+    @property
+    def is_leaf(self) -> bool:
+        """Always True."""
+        return True
+
     # ------------------------------------------------------------------
-    # Storage bridge: the inherited attribute API keeps working
+    # Storage bridge: whole-list ``keys`` / ``values`` for cold paths
     # ------------------------------------------------------------------
 
     @property  # type: ignore[override]
@@ -506,7 +332,7 @@ class GappedLeafNode(LeafNode):
                 self.fill = fill + 1
                 if hi is not None:
                     # Only mid-leaf claims count: an append (gap at the
-                    # tail) is free in any layout, so counting it would
+                    # tail) needs no shift anyway, so counting it would
                     # just dilute the metric the cursor exists for.
                     self.stats.gap_hits += 1
                 return True
@@ -672,9 +498,15 @@ class GappedLeafNode(LeafNode):
             self.skeys[lo:hi] = list(seq)
 
     def apply_run(self, run_keys: list[Key], run_values: list[Any]) -> int:
-        """Place a strictly-increasing run into this leaf in one motion
-        (gapped analogue of :meth:`LeafNode.apply_run`; the append case
-        lands in the gap pool via one slice store)."""
+        """Place a strictly-increasing run into this leaf in one motion.
+
+        This is the batch-ingest analogue of :meth:`insert_entry`: the run
+        is located with at most two bisects and placed with one slice
+        store (the append case lands in the gap pool).  Existing keys are
+        upserted — the run's value wins.  The caller is responsible for
+        capacity: the leaf may grow by up to ``len(run_keys)`` entries.
+        Returns the number of new keys added.
+        """
         if self.gap != self.fill:
             self._compact()
         fill = self.fill
@@ -713,13 +545,12 @@ class GappedLeafNode(LeafNode):
     # Split
     # ------------------------------------------------------------------
 
-    def _make_sibling(self) -> "GappedLeafNode":
-        return GappedLeafNode(0, self.stats)
-
     def split_at(self, pos: int) -> tuple["LeafNode", Key]:
-        """Split, moving entries from ``pos`` onward into a new right
-        sibling (fused override: validation, tail move, and chain links
-        in one frame — splits sit on the ingest hot path).
+        """Split this leaf, moving entries from ``pos`` onward into a new
+        right sibling.  Returns ``(new_right, split_key)``.
+
+        ``pos`` must leave both halves non-empty.  Chain links are fixed
+        here; the caller registers the new node with the parent.
 
         When the slab is full (``fill == len(skeys)`` — every split a
         tree triggers), the right sibling takes a *whole-slab copy with
@@ -740,7 +571,7 @@ class GappedLeafNode(LeafNode):
             )
         stats = self.stats
         skeys = self.skeys
-        right = GappedLeafNode.__new__(GappedLeafNode)
+        right = LeafNode.__new__(LeafNode)
         right.node_id = next(_node_ids)
         right.stats = stats
         if fill == len(skeys):
@@ -766,7 +597,7 @@ class GappedLeafNode(LeafNode):
         return right, split_key
 
     def _move_right_tail(
-        self, right: "GappedLeafNode", pos: int, fill: int
+        self, right: "LeafNode", pos: int, fill: int
     ) -> None:
         """Copy entries ``[pos, fill)`` into ``right`` packed at the
         front with the gap pool re-padded to our slab size (the general
@@ -785,20 +616,6 @@ class GappedLeafNode(LeafNode):
         right_vals = self.svals[pos:fill]
         right_vals.extend([None] * (slab - n))
         right.svals = right_vals
-
-    def _move_tail_into(self, right: "LeafNode", pos: int) -> None:
-        # ``right`` comes from ``_make_sibling`` and is gapped; size its
-        # slab like ours (== capacity in tree use), so both halves come
-        # out of the split with a refilled gap pool.
-        if self.gap != self.fill:
-            self._compact()
-        fill = self.fill
-        sibling: "GappedLeafNode" = right  # type: ignore[assignment]
-        self._move_right_tail(sibling, pos, fill)
-        sibling.fill = fill - pos
-        self.stats.gap_redistributions += 1
-        self.fill = pos
-        self.gap = pos
 
 
 def _typed_slots(entries: Sequence[Key]) -> Optional[KeySlots]:
@@ -822,21 +639,6 @@ def _typed_slots(entries: Sequence[Key]) -> Optional[KeySlots]:
         if all(type(k) is float for k in entries):
             return array("d", entries)
     return None
-
-
-def make_leaf(
-    layout: str, capacity: int, stats: Optional[TreeStats] = None
-) -> LeafNode:
-    """Construct an empty leaf of the requested ``layout``.
-
-    ``"list"`` returns the classic compact-list :class:`LeafNode`;
-    ``"gapped"`` returns a :class:`GappedLeafNode` with a ``capacity``-slot
-    slab wired to ``stats`` (for ``gap_hits`` / ``gap_redistributions`` /
-    ``typed_leaves`` accounting).
-    """
-    if layout == "gapped":
-        return GappedLeafNode(capacity, stats)
-    return LeafNode()
 
 
 class InternalNode(Node):
@@ -911,7 +713,7 @@ class InternalNode(Node):
         (``keys[idx:idx] = (split_key,)``) and a single paired
         ``(key, child)`` list — run 1.4× and 1.75× *slower* per splice in
         CPython (394 ns and 483 ns vs 276 ns at fan-out 64; see DESIGN.md,
-        "Gapped leaf layout"), because each slice assignment allocates a
+        "Gapped leaf"), because each slice assignment allocates a
         temporary and paired tuples tax every descent's bisect.
         """
         keys = self.keys

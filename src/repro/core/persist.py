@@ -2,7 +2,10 @@
 
 A snapshot is a one-line text header (tab-separated format tag, entry
 count, leaf capacity, internal capacity and, in files written since the
-column existed, leaf layout) followed by a body.
+column existed, a leaf field) followed by a body.  The leaf field names
+the leaf storage the file was written from: :func:`save_tree` always
+writes ``gapped``, and older files may say ``list``.  Both load into the
+one leaf class; any other value is a malformed header.
 
 :func:`save_tree` writes **v3** (``quit-tree-v3``), whose body is framed
 exactly like a WAL segment (:mod:`repro.core.wal`): a run of
@@ -57,6 +60,11 @@ _FORMAT_TAG_V1 = "quit-tree-v1"
 _FORMAT_TAG_V2 = "quit-tree-v2"
 _FORMAT_TAG_V3 = "quit-tree-v3"
 
+#: Values the optional fifth header field may hold.  The writer emits
+#: the first; files from code that had a second leaf class may hold the
+#: other.
+_LEAF_FIELDS = ("gapped", "list")
+
 #: Entries per v3 body record.
 CHUNK_PAIRS = 4096
 
@@ -89,7 +97,7 @@ def _serialize(tree: BPlusTree) -> tuple[bytes, int]:
     cfg = tree.config
     header = (
         f"{_FORMAT_TAG_V3}\t{count}\t{cfg.leaf_capacity}\t"
-        f"{cfg.internal_capacity}\t{cfg.layout}\n"
+        f"{cfg.internal_capacity}\t{_LEAF_FIELDS[0]}\n"
     )
     return b"".join([header.encode("utf-8"), *records]), count
 
@@ -193,11 +201,15 @@ def _parse(
     ):
         return None, [], [f"bad header: {head[:80]!r}"]
     try:
+        if len(header) == 5 and header[4] not in _LEAF_FIELDS:
+            raise ValueError(
+                f"leaf field must be one of {_LEAF_FIELDS}, "
+                f"got {header[4]!r}"
+            )
         expected = int(header[1])
         config = TreeConfig(
             leaf_capacity=int(header[2]),
             internal_capacity=int(header[3]),
-            layout=header[4] if len(header) == 5 else TreeConfig.layout,
         )
     except ValueError as exc:
         return None, [], [f"malformed header {head[:80]!r}: {exc}"]

@@ -71,17 +71,16 @@ class TreeStats:
         scrub_resets: fast-path/auxiliary pointers that ``scrub()``
             found inconsistent and reset (graceful degradation after
             recovery instead of trusting derived state blindly).
-        gap_hits: mid-leaf point inserts a gapped leaf absorbed by
-            claiming a slot from its gap pool (one C-level store)
-            where a compact list would have shifted entries.  Pure
-            appends are not counted (free in any layout), and neither
-            are the inlined fast-path claims of the tail/lil/pole/QuIT
-            insert loop — the counter tracks the out-of-line
-            ``insert_entry`` path.  Zero under the list layout.
-        gap_redistributions: gapped-leaf rebuilds (splits, run-overflow
+        gap_hits: mid-leaf point inserts a leaf absorbed by claiming a
+            slot from its gap pool (one C-level store) where a compact
+            list would have shifted entries.  Pure appends are not
+            counted (they shift nothing), and neither are the inlined
+            fast-path claims of the tail/lil/pole/QuIT insert loop —
+            the counter tracks the out-of-line ``insert_entry`` path.
+        gap_redistributions: leaf rebuilds (splits, run-overflow
             repacks, bulk loads) that re-established gap slack — the
-            layout's "redistribute" events.
-        typed_leaves: gapped-leaf repacks that chose typed ``array``
+            leaf's "redistribute" events.
+        typed_leaves: leaf repacks that chose typed ``array``
             key storage (uniform int/float key domain detected).
         typed_demotions: typed key slabs demoted back to object lists
             because a non-conforming key arrived (type change or int64

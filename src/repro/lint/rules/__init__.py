@@ -8,7 +8,6 @@ from . import (  # noqa: F401
     exception_flow,
     failpoint_parity,
     iofault_parity,
-    layout_parity,
     lock_discipline,
     stats_parity,
 )

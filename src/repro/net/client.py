@@ -461,12 +461,6 @@ class QuitClient:
     def status(self, *, deadline: Optional[float] = None) -> dict:
         return dict(self.request(protocol.OP_STATUS, None, deadline=deadline).result)
 
-    @property
-    def layout(self) -> str:
-        """Leaf storage layout of the *served* tree (one STATUS round
-        trip) — the label benchmark and equivalence tooling key on."""
-        return str(self.status()["layout"])
-
     def check(self, check_min_fill: bool = False, *,
               deadline: Optional[float] = None) -> list[str]:
         del check_min_fill  # the server audits without min-fill, like recovery

@@ -635,7 +635,6 @@ class QuitServer:
             "inflight": self.admission.inflight,
             "queued": self.admission.queued,
             "health": health.state.value if health is not None else "n/a",
-            "layout": getattr(backend, "layout", "n/a"),
             "stats": self.stats.as_dict(),
         }
         epoch = getattr(backend, "epoch", None)

@@ -197,11 +197,6 @@ class Primary:
     def tree(self) -> Any:
         return self.durable.tree
 
-    @property
-    def layout(self) -> str:
-        """Leaf storage layout of the replicated tree."""
-        return self.durable.layout
-
     def tail_position(self) -> WALPosition:
         return self.wal.tail_position()
 

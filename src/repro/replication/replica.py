@@ -481,11 +481,6 @@ class Replica:
 
     # -- reads ---------------------------------------------------------
 
-    @property
-    def layout(self) -> str:
-        """Leaf storage layout of the replicated tree."""
-        return self.durable.layout
-
     def _state_or_raise(self) -> DurableTree:
         durable = self.durable
         if durable is None:

@@ -73,11 +73,6 @@ class SABPlusTree:
         self.flush_fill_factor = flush_fill_factor
         self.flush_stats = FlushStats()
 
-    @property
-    def layout(self) -> str:
-        """Leaf storage layout of the wrapped tree."""
-        return self.tree.config.layout
-
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------

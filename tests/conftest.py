@@ -106,11 +106,12 @@ def validate_tree(tree) -> None:
 def legacy_snapshot_bytes(items, config: TreeConfig, version: int) -> bytes:
     """A v1 or v2 text snapshot of sorted ``items``, byte for byte as
     writers before the v3 format produced it (``test_snapshot_compat``
-    checks this against the committed fixtures)."""
+    checks this against the committed fixtures).  The fifth header field
+    is the literal ``gapped`` those writers emitted by default."""
     tag = "quit-tree-v2" if version == 2 else "quit-tree-v1"
     lines = [
         f"{tag}\t{len(items)}\t{config.leaf_capacity}\t"
-        f"{config.internal_capacity}\t{config.layout}"
+        f"{config.internal_capacity}\tgapped"
     ]
     for key, value in items:
         body = f"{key!r}\t{value!r}"

@@ -220,14 +220,14 @@ class TestShapes:
         assert near_full_occ > near_50_occ + 8
 
     def test_betree_flat_vs_quit_proportional(self, results):
-        def check(result):
-            be = [r["betree_x"] for r in result.rows]
-            qt = [r["quit_x"] for r in result.rows]
-            # QuIT's speedup swings with sortedness far more than the
-            # Be-tree's (the §6 sortedness-unawareness argument).
-            assert (max(qt) / min(qt)) > 1.5 * (max(be) / min(be))
-
-        check_with_retry(results, "betree", check)
+        # QuIT's work swings with sortedness far more than the Be-tree's
+        # (the §6 sortedness-unawareness argument), read off the
+        # deterministic work counters.  The wall-clock form of this
+        # claim is a gate in benchmarks/test_betree_baseline.py.
+        rows = results["betree"].rows
+        be = [r["betree_moves_per_insert"] for r in rows]
+        qt = [r["quit_fast_insert_fraction"] for r in rows]
+        assert (max(qt) / min(qt)) > 1.5 * (max(be) / min(be))
 
     def test_fig13real_runs_and_is_flat(self, results):
         def check(result):

@@ -137,29 +137,6 @@ def test_api_gap_detected():
 
 
 # ---------------------------------------------------------------------------
-# layout-parity
-# ---------------------------------------------------------------------------
-
-
-def test_layout_gap_detected():
-    findings = run("layout-parity", "layout_gap.py")
-    assert len(findings) == 1
-    (f,) = findings
-    assert "LayoutlessTree" in f.message
-    assert f.line == 5  # class definition line
-    assert "layout" in f.message
-
-
-def test_layout_inherited_is_clean():
-    # LabelledTree defines `layout`; InheritsLabel gets it by base
-    # resolution — neither may be reported.
-    findings = run("layout-parity", "layout_gap.py")
-    names = " ".join(f.message for f in findings)
-    assert "LabelledTree" not in names
-    assert "InheritsLabel" not in names
-
-
-# ---------------------------------------------------------------------------
 # async-blocking
 # ---------------------------------------------------------------------------
 

@@ -1,8 +1,12 @@
 """Tests for repro.core.node (leaf and internal node mechanics)."""
 
+import random
+
 import pytest
 
+from repro.core import BPlusTree, TreeConfig
 from repro.core.node import InternalNode, LeafNode
+from repro.core.stats import TreeStats
 
 
 def make_leaf(keys):
@@ -81,6 +85,47 @@ class TestLeafNode:
         assert list(leaf.items()) == [(1, 10), (2, 20)]
 
 
+class TestTypedSlots:
+    """Typed key slabs and gap-pool accounting of the leaf."""
+
+    def test_bulk_load_promotes_int_keys(self):
+        t = BPlusTree(TreeConfig(leaf_capacity=64, internal_capacity=64))
+        t.bulk_load([(i, i) for i in range(5_000)])
+        assert t.stats.typed_leaves > 0
+        assert list(t.items()) == [(i, i) for i in range(5_000)]
+
+    def test_demotion_on_nonconforming_key(self):
+        t = BPlusTree(TreeConfig(leaf_capacity=64, internal_capacity=64))
+        t.bulk_load([(i, i) for i in range(1_000)])
+        t.insert(2**70, "big")  # > int64: typed slab must demote
+        assert t.stats.typed_demotions >= 1
+        assert t.get(2**70) == "big"
+        t.validate()
+
+    def test_string_keys_stay_object_lists(self):
+        t = BPlusTree(TreeConfig(leaf_capacity=8, internal_capacity=8))
+        words = [f"k{i:04d}" for i in range(300)]
+        random.Random(3).shuffle(words)
+        for w in words:
+            t.insert(w, w)
+        assert [k for k, _ in t.items()] == sorted(words)
+        leaf = t.head_leaf
+        while leaf is not None:
+            assert not leaf.typed
+            leaf = leaf.next
+
+    def test_leaf_level_gap_claims_count(self):
+        stats = TreeStats()
+        leaf = LeafNode(16, stats)
+        for k in (10, 20, 30, 40):
+            leaf.insert_entry(k, None)
+        assert stats.gap_hits == 0  # appends are never counted
+        leaf.insert_entry(25, None)  # migrate cursor mid-leaf
+        leaf.insert_entry(26, None)  # claim at the migrated cursor
+        assert stats.gap_hits >= 1
+        assert leaf.keys == [10, 20, 25, 26, 30, 40]
+
+
 class TestInternalNode:
     def _node_with_children(self, pivots):
         node = InternalNode()
@@ -111,8 +156,8 @@ class TestInternalNode:
 
     def test_index_of_child_empty_child_falls_back_to_scan(self):
         node = self._node_with_children([10])
-        node.children[1].keys.clear()
-        node.children[1].values.clear()
+        node.children[1].keys = []
+        node.children[1].values = []
         assert node.index_of_child(node.children[1]) == 1
 
     def test_index_of_foreign_child_raises(self):

@@ -28,7 +28,7 @@ def ingest(cls, keys):
 @pytest.fixture(scope="module")
 def trees_by_k():
     out = {}
-    for k in (0.0, 0.01, 0.03, 0.05, 0.25, 0.50):
+    for k in (0.0, 0.01, 0.03, 0.05, 0.25, 0.50, 1.0):
         keys = generate_keys(N, k, 1.0, seed=11)
         out[k] = {
             cls.name: ingest(cls, keys)
@@ -88,6 +88,13 @@ class TestFig10aOccupancy:
     def test_quit_near_full_when_sorted(self, trees_by_k):
         occ = trees_by_k[0.0]["QuIT"].occupancy().avg_occupancy
         assert occ > 0.95
+
+    def test_btree_near_ln2_when_scrambled(self, trees_by_k):
+        # K = L = 100% is the random-insert regime, where the classical
+        # half split settles near ln 2 ~ 69% full (Yao's analysis).  This
+        # pins the leaf split independently of how leaves store entries.
+        occ = trees_by_k[1.0]["B+-tree"].occupancy().avg_occupancy
+        assert 0.66 <= occ <= 0.72
 
     @pytest.mark.parametrize("k", [0.01, 0.03, 0.05])
     def test_near_sorted_band(self, trees_by_k, k):

@@ -2,6 +2,7 @@
 dict, and structural invariants hold after arbitrary operation sequences.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -9,6 +10,7 @@ from hypothesis.stateful import (
     initialize,
     invariant,
     rule,
+    run_state_machine_as_test,
 )
 
 from repro.core import (
@@ -159,43 +161,90 @@ def test_quit_occupancy_never_exceeds_capacity(keys):
         assert leaf.size <= SMALL.leaf_capacity
 
 
+KEYS = st.integers(-500, 500)
+
 class TreeMachine(RuleBasedStateMachine):
-    """Stateful fuzz: arbitrary interleavings of operations on QuIT vs a
-    dict oracle, with validation as a standing invariant."""
+    """Stateful fuzz: arbitrary interleavings of per-key and bulk
+    operations on a tree variant vs a dict oracle, with validation —
+    structure plus the fast-path window — as a standing invariant."""
+
+    #: Variants ``setup`` draws from.
+    classes = ALL_TREE_CLASSES
 
     def __init__(self):
         super().__init__()
         self.tree = None
         self.oracle = {}
 
-    @initialize(cls=tree_class_strategy)
-    def setup(self, cls):
-        self.tree = cls(SMALL)
+    @initialize(data=st.data())
+    def setup(self, data):
+        self.tree = data.draw(st.sampled_from(self.classes))(SMALL)
         self.oracle = {}
 
-    @rule(key=st.integers(-500, 500), value=st.integers())
+    @rule(key=KEYS, value=st.integers())
     def insert(self, key, value):
         self.tree.insert(key, value)
         self.oracle[key] = value
 
-    @rule(key=st.integers(-500, 500))
+    def _insert_many(self, pairs):
+        new = len({k for k, _ in pairs} - self.oracle.keys())
+        assert self.tree.insert_many(pairs) == new
+        self.oracle.update(pairs)
+
+    @rule(
+        lo=KEYS,
+        length=st.integers(1, 40),
+        step=st.integers(1, 3),
+        value=st.integers(),
+    )
+    def insert_many_sorted(self, lo, length, step, value):
+        # A dense ascending run: it chains through consecutive leaves
+        # and overflows the ones it lands in.
+        self._insert_many(
+            [(k, value + k) for k in range(lo, lo + length * step, step)]
+        )
+
+    @rule(
+        pairs=st.lists(st.tuples(KEYS, st.integers()), max_size=40),
+        duplicated=st.booleans(),
+    )
+    def insert_many_unsorted(self, pairs, duplicated):
+        if duplicated:
+            # Every key again under a new value: the last write wins.
+            pairs = pairs + [(k, v + 1) for k, v in reversed(pairs)]
+        self._insert_many(pairs)
+
+    @rule(key=KEYS)
     def delete(self, key):
         assert self.tree.delete(key) == (key in self.oracle)
         self.oracle.pop(key, None)
 
-    @rule(key=st.integers(-500, 500))
+    @rule(lo=KEYS, width=st.integers(1, 60), step=st.integers(1, 3))
+    def delete_run(self, lo, width, step):
+        for key in range(lo, lo + width, step):
+            assert self.tree.delete(key) == (key in self.oracle)
+            self.oracle.pop(key, None)
+
+    @rule(key=KEYS)
     def lookup(self, key):
         assert self.tree.get(key, "absent") == self.oracle.get(
             key, "absent"
         )
 
-    @rule(lo=st.integers(-500, 500), width=st.integers(0, 100))
+    @rule(keys=st.lists(KEYS, max_size=40))
+    def get_many(self, keys):
+        assert self.tree.get_many(keys, "absent") == [
+            self.oracle.get(k, "absent") for k in keys
+        ]
+
+    @rule(lo=KEYS, width=st.integers(0, 100))
     def range_scan(self, lo, width):
-        got = self.tree.range_query(lo, lo + width)
         expected = sorted(
             (k, v) for k, v in self.oracle.items() if lo <= k < lo + width
         )
-        assert got == expected
+        assert self.tree.range_query(lo, lo + width) == expected
+        assert list(self.tree.range_iter(lo, lo + width)) == expected
+        assert self.tree.count_range(lo, lo + width) == len(expected)
 
     @invariant()
     def structurally_valid(self):
@@ -211,3 +260,21 @@ TestTreeMachine.settings = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+@pytest.mark.parametrize("cls", ALL_TREE_CLASSES, ids=lambda c: c.name)
+def test_tree_machine_per_variant(cls):
+    """The machine pinned to each variant in turn, so every class gets
+    runs whatever ``TestTreeMachine`` happens to draw."""
+    machine = type(
+        f"TreeMachine_{cls.__name__}", (TreeMachine,), {"classes": [cls]}
+    )
+    run_state_machine_as_test(
+        machine,
+        settings=settings(
+            max_examples=10,
+            stateful_step_count=50,
+            deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        ),
+    )

@@ -1,5 +1,7 @@
-"""Snapshot formats: legacy v1/v2 files still load, and damage to a v3
-file is rejected by ``load_tree`` and reported by ``verify_snapshot``.
+"""Snapshot formats: legacy v1/v2 files still load, the header's
+optional leaf field is checked the same way in every version, and damage
+to a v3 file is rejected by ``load_tree`` and reported by
+``verify_snapshot``.
 
 ``fixtures/snapshot_v1`` holds a bare ``snapshot.quit`` written by the
 v1 text writer: keys 0..199 mapped to ``3 * k``, plus keys 1000-1010
@@ -20,8 +22,10 @@ Every test that recovers works on a copy: recovery repairs and appends.
 
 from __future__ import annotations
 
+import random
 import shutil
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -138,6 +142,83 @@ class TestLegacyFixtures:
             _same_items(replica.durable, V2_SNAPSHOT_STATE)
         finally:
             replica.close()
+
+
+def _image(version: int, path: Path) -> dict:
+    """Write a snapshot of a randomly built QuIT tree in format
+    ``version`` to ``path``; returns the tree's state."""
+    tree = QuITTree(CONFIG)
+    rng = random.Random(7)
+    for _ in range(500):
+        tree.insert(rng.randrange(600), rng.randrange(10 ** 6))
+    if version == 3:
+        save_tree(tree, path)
+    else:
+        path.write_bytes(
+            legacy_snapshot_bytes(list(tree.items()), CONFIG, version)
+        )
+    return dict(tree.items())
+
+
+def _set_leaf_field(path: Path, field: Optional[str]) -> None:
+    """Rewrite the header's fifth field (``None`` drops it)."""
+    head, _, body = path.read_bytes().partition(b"\n")
+    fields = head.split(b"\t")[:4]
+    if field is not None:
+        fields.append(field.encode())
+    path.write_bytes(b"\t".join(fields) + b"\n" + body)
+
+
+class TestHeaderLeafField:
+    """Headers carry four fields, or five whose last names the leaf
+    storage of the writer: ``gapped`` (what :func:`save_tree` writes) or
+    ``list`` (from code that had a second leaf class).  All of them load
+    into the one leaf; any other fifth field is a malformed header."""
+
+    @pytest.mark.parametrize(
+        "field", [None, "gapped", "list"], ids=["4-field", "gapped", "list"]
+    )
+    @pytest.mark.parametrize("version", [1, 2, 3], ids=lambda v: f"v{v}")
+    def test_accepted_header_loads(self, tmp_path, version, field):
+        path = tmp_path / "t.quit"
+        state = _image(version, path)
+        _set_leaf_field(path, field)
+        assert verify_snapshot(path) == []
+        tree = load_tree(path, QuITTree)
+        _same_items(tree, state)
+        assert tree.config == CONFIG
+        tree.validate(check_min_fill=False)
+        # The bulk-loaded rebuild promotes int keys to typed slabs.
+        assert tree.stats.typed_leaves > 0
+
+    def test_list_writer_snapshot_loads_into_bplustree(self, tmp_path):
+        # A B+-tree snapshot whose header names the list leaf loads into
+        # the one leaf: the format stores entries, not slab internals.
+        src = BPlusTree(CONFIG)
+        for i in range(300):
+            src.insert(i * 3 % 600, i)
+        path = tmp_path / "t.quit"
+        assert save_tree(src, path) == len(src)
+        _set_leaf_field(path, "list")
+        back = load_tree(path, BPlusTree)
+        assert type(back) is BPlusTree
+        _same_items(back, dict(src.items()))
+        back.validate(check_min_fill=False)
+        assert back.stats.typed_leaves > 0
+
+    @pytest.mark.parametrize(
+        "field", ["btree", "Gapped", ""], ids=["btree", "Gapped", "empty"]
+    )
+    @pytest.mark.parametrize("version", [1, 2, 3], ids=lambda v: f"v{v}")
+    def test_unknown_field_is_rejected(self, tmp_path, version, field):
+        path = tmp_path / "t.quit"
+        _image(version, path)
+        _set_leaf_field(path, field)
+        with pytest.raises(PersistenceError, match="malformed header"):
+            load_tree(path, QuITTree)
+        issues = verify_snapshot(path)
+        assert len(issues) == 1 and "malformed header" in issues[0]
+        assert repr(field) in issues[0]
 
 
 def _v3_snapshot(path: Path) -> dict:

@@ -9,7 +9,7 @@ lock in that validation survives optimized mode.
 import pytest
 
 from repro.core import BPlusTree, QuITTree, TreeConfig, TreeInvariantError
-from repro.core.node import GappedLeafNode, InternalNode
+from repro.core.node import InternalNode, LeafNode
 
 
 @pytest.fixture
@@ -28,9 +28,9 @@ def first_internal(tree) -> InternalNode:
 
 
 def corrupt_keys(leaf, mutate) -> None:
-    """Apply ``mutate`` to the leaf's key list and write it back through
-    the layout (the gapped layout's ``keys`` property is a packed copy,
-    so in-place mutation alone would not reach the slot arrays)."""
+    """Apply ``mutate`` to the leaf's key list and write it back (the
+    leaf's ``keys`` property is a packed copy, so in-place mutation alone
+    would not reach the slot arrays)."""
     keys = leaf.keys
     mutate(keys)
     leaf.keys = keys
@@ -38,10 +38,7 @@ def corrupt_keys(leaf, mutate) -> None:
 
 def drop_one_value(leaf) -> None:
     """Make the physical value storage one element short of the keys."""
-    if isinstance(leaf, GappedLeafNode):
-        leaf.svals.pop()  # breaks the slab-length invariant
-    else:
-        leaf.values.pop()
+    leaf.svals.pop()  # breaks the slab-length invariant
 
 
 class TestValidateCatchesCorruption:
@@ -220,3 +217,52 @@ class TestValidateAcceptsHealthyQuIT:
             tree.delete(k)
         tree.validate(check_min_fill=False)
         assert tree.check(check_min_fill=False) == []
+
+
+class TestFastPathWindow:
+    """The fast-path window ``[fp.low, fp.high)`` must lie inside the
+    cached leaf's pivot range; a narrower window is only conservative."""
+
+    @pytest.fixture
+    def pinned(self, small_config):
+        # Pin the fast path to the head leaf, whose upper pivot bound is
+        # finite (the tail's is open-ended).
+        tree = QuITTree(small_config)
+        for k in range(500):
+            tree.insert(k, k)
+        fp = tree._fp
+        fp.leaf = tree.head_leaf
+        fp.low, fp.high = tree.bounds_of_leaf(fp.leaf)
+        assert fp.high is not None
+        tree.validate(check_min_fill=False)
+        return tree
+
+    def test_widened_high_is_a_violation(self, pinned):
+        pinned._fp.high += 1000
+        with pytest.raises(TreeInvariantError, match="above the leaf's pivot"):
+            pinned.validate(check_min_fill=False)
+        violations = pinned.check(check_min_fill=False)
+        assert violations == [
+            "fast-path window extends above the leaf's pivot range"
+        ]
+
+    def test_narrowed_window_is_tolerated(self, pinned):
+        fp = pinned._fp
+        fp.low, fp.high = fp.high - 2, fp.high - 1
+        assert pinned.check(check_min_fill=False) == []
+
+    def test_detached_leaf_is_a_violation(self, pinned):
+        pinned._fp.leaf = LeafNode()
+        assert pinned.check(check_min_fill=False) == [
+            "fast-path leaf detached from tree"
+        ]
+
+    def test_leaf_unknown_to_its_parent_is_reported(self, pinned):
+        # The parent chain reaches the root, but the parent does not
+        # list the leaf: check() must report it, not raise.
+        orphan = LeafNode()
+        orphan.parent = pinned.root
+        pinned._fp.leaf = orphan
+        assert pinned.check(check_min_fill=False) == [
+            "fast-path leaf missing from its parent's children"
+        ]
