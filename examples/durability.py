@@ -18,7 +18,7 @@ from pathlib import Path
 
 from repro import QuITTree, TreeConfig
 from repro.core import DurableTree
-from repro.testing import SimulatedCrash, failpoints
+from repro.testing import SimulatedCrash, faults
 
 N_BEFORE_CHECKPOINT = 50_000
 N_AFTER_CHECKPOINT = 5_000
@@ -37,15 +37,15 @@ def main() -> None:
               f"-> {state_dir / 'snapshot.quit'}")
 
         # ------------------------------------------- crash mid-ingest
-        # Arm a failpoint so the 3001st post-checkpoint insert dies
+        # Arm a crash fault so the 3001st post-checkpoint insert dies
         # after its WAL append — the moment a real process could lose
         # power. SimulatedCrash subclasses BaseException: no cleanup
         # handler inside the library can swallow it, and nothing gets
         # flushed on the way down, just like a dead process.
         acknowledged = 0
         try:
-            with failpoints.active(
-                "wal.after_append", mode="crash", hits_before=CRASH_AFTER
+            with faults.inject(
+                "wal.after_append", "crash", hits_before=CRASH_AFTER
             ):
                 for i in range(N_AFTER_CHECKPOINT):
                     tree.insert(N_BEFORE_CHECKPOINT + i, f"late-{i}")

@@ -2,7 +2,7 @@
 """I/O fault tolerance: retries, read-only degradation, and the scrub.
 
 The durability stack routes every file operation through the
-``repro.testing.iofaults`` shim, so this script can make the "disk"
+``repro.testing.faults`` shims, so this script can make the "disk"
 misbehave on demand and show each layer of the defence:
 
 1. a transient EIO burst is absorbed by retry/backoff — callers never
@@ -24,7 +24,7 @@ from repro import QuITTree, TreeConfig
 from repro.core import DurableTree, ReadOnlyError, Scrubber
 from repro.core.durable import WAL_DIRNAME
 from repro.core.wal import segment_paths
-from repro.testing import iofaults
+from repro.testing import faults
 
 N = 5_000
 
@@ -41,15 +41,15 @@ def main() -> None:
         print(f"ingested {N:,} rows, health={tree.health.state.value}")
 
         # ------------------------------------------- 1. transient EIO
-        iofaults.arm("io.wal.write", "eio", times=3)
+        faults.arm("io.wal.write", "eio", times=3)
         for i in range(N, N + 100):
             tree.insert(i, f"row-{i}")  # never sees the fault
-        iofaults.disarm("io.wal.write")
+        faults.disarm("io.wal.write")
         print(f"EIO burst absorbed: {tree.health.retries} retries, "
               f"health={tree.health.state.value}")
 
         # -------------------------------------- 2. disk full -> READ_ONLY
-        iofaults.arm("io.wal.fsync", "enospc")
+        faults.arm("io.wal.fsync", "enospc")
         refused = 0
         try:
             for i in range(N + 100, N + 200):
@@ -65,7 +65,7 @@ def main() -> None:
         print(f"ENOSPC: degraded to {tree.health.state.value}, "
               f"{refused} mutations refused, reads still serve "
               f"(key 42 -> {probe!r})")
-        iofaults.disarm("io.wal.fsync")  # operator freed space
+        faults.disarm("io.wal.fsync")  # operator freed space
         tree.checkpoint()  # proves the disk writable; restores health
         print(f"checkpoint healed the tree: "
               f"health={tree.health.state.value}, "
@@ -100,7 +100,7 @@ def main() -> None:
               f"acknowledged write intact")
         recovered.close()
     finally:
-        iofaults.reset()
+        faults.reset()
         shutil.rmtree(state_dir, ignore_errors=True)
 
 

@@ -78,8 +78,7 @@ LOCK_ORDER: tuple[str, ...] = (
     "wal.append",          # WriteAheadLog._lock: append/rotate/truncate
     "repl.epoch",          # EpochRegistry._lock: epoch counter
     "health",              # HealthMonitor._lock: state-machine transitions
-    "iofaults",            # testing.iofaults._lock: fault-arming table
-    "failpoints",          # testing.failpoints._lock: innermost everywhere
+    "faults",              # testing.faults._lock: innermost everywhere
 )
 
 _RANK: dict[str, int] = {name: i for i, name in enumerate(LOCK_ORDER)}
@@ -101,7 +100,7 @@ FSYNC_UNSAFE: frozenset[str] = frozenset(
         # every instrumented I/O call — they must decide and release, not
         # ride along into the disk.
         "health",
-        "iofaults",
+        "faults",
     }
 )
 

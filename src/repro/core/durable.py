@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Type, Union
 
 from ..concurrency.locks import RWLock
-from ..testing import failpoints
+from ..testing import faults
 from .bptree import BPlusTree
 from .config import TreeConfig
 from .health import HealthMonitor, HealthState, RetryPolicy
@@ -405,13 +405,13 @@ class DurableTree:
             retry=self.retry,
             health=self.health,
         )
-        failpoints.fire("checkpoint.before_truncate")
+        faults.fire("checkpoint.before_truncate")
         # Captured before the truncate, under the exclusive gate: the
         # snapshot covers exactly the records below this position, so a
         # replication reader caught up to it has missed nothing.
         self.last_checkpoint_position = self.wal.tail_position()
         self.wal.truncate()
-        failpoints.fire("checkpoint.after_truncate")
+        faults.fire("checkpoint.after_truncate")
         self.checkpoints += 1
         # A full snapshot landed and the WAL restarted on a fresh
         # segment: the disk demonstrably takes writes again, so a
@@ -440,7 +440,7 @@ class DurableTree:
         # like KeyboardInterrupt — leaves a live process, so the final
         # flush/fsync must still happen.
         if exc_info[0] is not None and issubclass(
-            exc_info[0], failpoints.SimulatedCrash
+            exc_info[0], faults.SimulatedCrash
         ):
             self.abort()
             return

@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import Any, Optional, Type, Union
 
 from ..concurrency import sanitizer
-from ..testing import failpoints, iofaults
+from ..testing import faults
 from . import wal
 from .bptree import BPlusTree
 from .config import TreeConfig
@@ -130,15 +130,15 @@ def save_tree(
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     data, count = _serialize(tree)
-    failpoints.fire("snapshot.before_tmp_write")
+    faults.fire("snapshot.before_tmp_write")
 
     def write_tmp() -> None:
         with tmp.open("wb") as fh:
-            iofaults.write("io.snapshot.write", fh, data)
+            faults.write("io.snapshot.write", fh, data)
             fh.flush()
             if sanitizer.enabled():
                 sanitizer.note_fsync("snapshot.tmp")
-            iofaults.fsync("io.snapshot.fsync", fh)
+            faults.fsync("io.snapshot.fsync", fh)
 
     def discard_tmp() -> None:
         tmp.unlink(missing_ok=True)
@@ -151,10 +151,10 @@ def save_tree(
     except Exception:
         tmp.unlink(missing_ok=True)
         raise
-    failpoints.fire("snapshot.after_tmp_write")
+    faults.fire("snapshot.after_tmp_write")
 
     def rename() -> None:
-        iofaults.replace("io.snapshot.replace", tmp, path)
+        faults.replace("io.snapshot.replace", tmp, path)
 
     try:
         if retry is None:
@@ -165,7 +165,7 @@ def save_tree(
         tmp.unlink(missing_ok=True)
         raise
     _fsync_parent_dir(path)
-    failpoints.fire("snapshot.after_replace")
+    faults.fire("snapshot.after_replace")
     return count
 
 
@@ -339,7 +339,7 @@ _SNAP_READ_RETRY = RetryPolicy(
 
 def _read_snapshot_bytes(path: Path) -> bytes:
     return _SNAP_READ_RETRY.run(
-        lambda: iofaults.read_bytes("io.snapshot.read", path)
+        lambda: faults.read_bytes("io.snapshot.read", path)
     )
 
 

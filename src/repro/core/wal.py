@@ -67,7 +67,7 @@ from pathlib import Path
 from typing import IO, Any, Iterable, Optional, Union
 
 from ..concurrency import sanitizer
-from ..testing import failpoints, iofaults
+from ..testing import faults
 from . import codec
 from .health import HealthMonitor, ReadOnlyError, RetryPolicy
 from .node import Key
@@ -297,7 +297,7 @@ def _read_segment(path: Path) -> bytes:
 
     def read() -> bytes:
         expected = path.stat().st_size
-        data = iofaults.read_bytes("io.wal.read", path)
+        data = faults.read_bytes("io.wal.read", path)
         if len(data) < expected:
             raise OSError(
                 errno.EIO,
@@ -370,7 +370,7 @@ def replay_wal(directory: Union[str, Path]) -> WALReplayResult:
     sequence (a missing middle segment) — ends it, and everything at or
     after that point, including later segments whose records were
     appended after the damage, counts as dropped tail bytes.  Reads go
-    through the :mod:`repro.testing.iofaults` shim with a transient
+    through the :mod:`repro.testing.faults` shim with a transient
     retry, and a damaged parse is re-read before it is believed, so
     read-path noise (a flaky cable, an injected one-shot fault) never
     masquerades as media corruption.
@@ -898,7 +898,7 @@ class WriteAheadLog:
             return
         record = frame_record(op)
         with self._lock:
-            failpoints.fire("wal.before_append")
+            faults.fire("wal.before_append")
             fh = self._fh
             if fh is None or self._active_size + len(record) > self.segment_bytes:
                 fh = self._rotate_locked()
@@ -920,7 +920,7 @@ class WriteAheadLog:
                     self.unsynced_acks += 1
             else:  # "none": every ack is unsynced by definition.
                 self.unsynced_acks += 1
-            failpoints.fire("wal.after_append")
+            faults.fire("wal.after_append")
 
     # ------------------------------------------------------------------
     # Group commit: writer side
@@ -934,7 +934,7 @@ class WriteAheadLog:
         after the batch containing this record has been fsynced.
         """
         record = frame_record(op)
-        failpoints.fire("wal.before_append")
+        faults.fire("wal.before_append")
         ticket = CommitTicket()
         while True:
             with self._group_lock:
@@ -955,13 +955,13 @@ class WriteAheadLog:
                 self._group_space.clear()
             self._group_space.wait(0.05)
         self._group_wake.set()
-        failpoints.fire("wal.after_append")
+        faults.fire("wal.after_append")
         return ticket
 
     def _rotate_locked(self) -> IO[bytes]:
         """Close the active segment (fsynced) and open the next one."""
         if self._fh is not None:
-            failpoints.fire("wal.before_rotate")
+            faults.fire("wal.before_rotate")
             self._sync_locked(self._fh)
             self._fh.close()
             self.rotations += 1
@@ -994,7 +994,7 @@ class WriteAheadLog:
         fault-free cost must stay at one shim call over a bare write.
         """
         try:
-            iofaults.write("io.wal.write", fh, data)
+            faults.write("io.wal.write", fh, data)
         except OSError as exc:
             base = self._active_size
 
@@ -1002,7 +1002,7 @@ class WriteAheadLog:
                 fh.truncate(base)
 
             self.retry.resume(
-                lambda: iofaults.write("io.wal.write", fh, data),
+                lambda: faults.write("io.wal.write", fh, data),
                 exc,
                 monitor=self.health,
                 recover=rewind,
@@ -1012,14 +1012,14 @@ class WriteAheadLog:
 
     def _sync_locked(self, fh: IO[bytes]) -> None:  # holds: wal.append
         fh.flush()
-        failpoints.fire("wal.before_fsync")
+        faults.fire("wal.before_fsync")
         if sanitizer.enabled():
             sanitizer.note_fsync("wal.segment")
         try:
-            iofaults.fsync("io.wal.fsync", fh)
+            faults.fsync("io.wal.fsync", fh)
         except OSError as exc:
             self.retry.resume(
-                lambda: iofaults.fsync("io.wal.fsync", fh),
+                lambda: faults.fsync("io.wal.fsync", fh),
                 exc,
                 monitor=self.health,
             )
@@ -1146,16 +1146,16 @@ class WriteAheadLog:
             if run:
                 self._write_locked(fh, b"".join(run))
                 self._active_size += run_len
-            failpoints.fire("wal.group.pre_fsync")
+            faults.fire("wal.group.pre_fsync")
             if fh is not None:
                 self._sync_locked(fh)
-            failpoints.fire("wal.group.post_fsync")
+            faults.fire("wal.group.post_fsync")
             self.group_batches += 1
             self.group_batch_records += len(batch)
             if len(batch) > self.group_batch_max:
                 self.group_batch_max = len(batch)
         # Acks strictly after the fsync returned, outside every lock.
-        failpoints.fire("wal.group.ack")
+        faults.fire("wal.group.ack")
         for _, ticket in batch:
             ticket._resolve()
 
@@ -1234,7 +1234,7 @@ class WriteAheadLog:
                 self._active_size = 0
             removed = 0
             for seg in segment_paths(self.directory):
-                failpoints.fire("wal.before_truncate_segment")
+                faults.fire("wal.before_truncate_segment")
                 seg.unlink()
                 removed += 1
             _fsync_dir(self.directory)
@@ -1271,7 +1271,7 @@ class WriteAheadLog:
         # process flushes nothing.  Anything else — KeyboardInterrupt
         # included — leaves a live process that must still flush.
         if exc_info[0] is not None and issubclass(
-            exc_info[0], failpoints.SimulatedCrash
+            exc_info[0], faults.SimulatedCrash
         ):
             # Stop the group flusher *without* flushing: queued records
             # die with the process, exactly as a real crash would.

@@ -14,10 +14,11 @@ than generic style:
 ``no-bare-assert``
     ``assert`` statements in shipped code vanish under ``python -O``;
     invariant checks must raise explicitly.
-``failpoint-parity``
-    Every ``failpoints.fire("name")`` literal must be registered in
-    ``KNOWN_FAILPOINTS`` and every registered name must be fired
-    somewhere — otherwise fault-injection coverage silently rots.
+``fault-parity``
+    Every ``faults.fire("name")`` and ``faults`` I/O shim literal must
+    be registered in :mod:`repro.testing.faults` for the matching call
+    form, and every registered site must be reached somewhere —
+    otherwise fault-injection coverage silently rots.
 ``stats-parity``
     Attribute writes on stats objects must hit declared fields; a typo
     like ``stats.fast_insert += 1`` would otherwise create a fresh

@@ -15,7 +15,7 @@ cannot drift apart:
   classes, attribute chains typed by a per-rule ``attr_types`` table
   (``self.durable.wal.sync`` → ``WriteAheadLog.sync``), class-name
   receivers (``DurableTree.recover``), module-alias calls
-  (``failpoints.fire``), and bare-name calls to module-level functions.
+  (``faults.fire``), and bare-name calls to module-level functions.
   Unresolvable calls return ``None`` — every analysis built on this
   *under-approximates* rather than cry wolf;
 * :func:`fixpoint` — propagate per-function fact sets to callers until

@@ -6,8 +6,7 @@ from . import (  # noqa: F401
     bare_assert,
     deadline_discipline,
     exception_flow,
-    failpoint_parity,
-    iofault_parity,
+    fault_parity,
     lock_discipline,
     stats_parity,
 )

@@ -75,7 +75,7 @@ ATTR_TYPES: Dict[Tuple[str, str], str] = {
     ("BackgroundServer", "server"): "QuitServer",
 }
 
-MODULE_ALIASES: FrozenSet[str] = frozenset({"protocol", "failpoints", "iofaults"})
+MODULE_ALIASES: FrozenSet[str] = frozenset({"protocol", "faults"})
 
 #: ``# loop-safe: <reason>`` — the reason is mandatory; a bare pragma
 #: with nothing to say does not suppress.

@@ -129,7 +129,7 @@ ATTR_TYPES: Dict[Tuple[str, str], str] = {
     ("QuitServer", "admission"): "AdmissionController",
 }
 
-MODULE_ALIASES: FrozenSet[str] = frozenset({"protocol", "failpoints", "iofaults"})
+MODULE_ALIASES: FrozenSet[str] = frozenset({"protocol", "faults"})
 
 #: One escaping exception: (type name, origin path, origin line).
 _Escape = Tuple[str, str, int]

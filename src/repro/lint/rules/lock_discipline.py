@@ -21,7 +21,7 @@ This rule rebuilds the acquisition graph *statically*:
    CallResolver` with :data:`ATTR_TYPES` as the facade-typing table):
    ``self.method()`` through base classes, attribute chains
    (``self.durable.wal.sync`` → ``WriteAheadLog.sync``), class-name
-   receivers (``DurableTree.recover``), the ``failpoints`` module
+   receivers (``DurableTree.recover``), the ``faults`` module
    alias, and bare-name calls to module-level functions.  Unresolvable
    calls are skipped — the analysis under-approximates rather than
    cry wolf.
@@ -77,8 +77,7 @@ CANONICAL: Dict[Tuple[str, str], str] = {
     ("replica", "_lock"): "repl.replica",
     ("primary", "_meta_lock"): "repl.primary.meta",
     ("coordinator", "_lock"): "repl.epoch",
-    ("failpoints", "_lock"): "failpoints",
-    ("iofaults", "_lock"): "iofaults",
+    ("faults", "_lock"): "faults",
     ("health", "_lock"): "health",
     ("scrubber", "_lock"): "scrub.cycle",
     # The scrubber verifies under the owning tree's checkpoint gate.
@@ -104,7 +103,7 @@ ATTR_TYPES: Dict[Tuple[str, str], str] = {
 }
 
 # Module aliases whose attribute calls resolve to module-level functions.
-MODULE_ALIASES: FrozenSet[str] = frozenset({"failpoints"})
+MODULE_ALIASES: FrozenSet[str] = frozenset({"faults"})
 
 # `*_locked` methods are assumed to run under their class's primary lock.
 PRIMARY_LOCK: Dict[str, str] = {

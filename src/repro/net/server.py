@@ -50,7 +50,7 @@ from typing import Any, Optional
 from ..concurrency import sanitizer
 from ..core.health import ReadOnlyError
 from ..core.wal import WALError
-from ..testing import iofaults
+from ..testing import faults
 from . import protocol
 from .admission import (
     AdmissionController,
@@ -66,6 +66,9 @@ MAX_BUDGET = 60.0
 
 #: Fallback budget for a frame that carries none (<= 0).
 DEFAULT_BUDGET = 5.0
+
+#: The only sites the chaos admin may arm: disk faults, never a crash.
+_ADMIN_IO_SITES = frozenset(faults.IO_WRITE_SITES + faults.IO_READ_SITES)
 
 _READ_OPS = frozenset(
     {
@@ -654,10 +657,22 @@ class QuitServer:
                 return protocol.ST_OK, 0, None
             if cmd == "iofault_arm":
                 site, kind, kwargs = args
-                iofaults.arm(site, kind, **dict(kwargs))
+                # Disk faults only: a remote request must never arm a
+                # SimulatedCrash (a BaseException) into the serving
+                # process, nor reach a control-flow site.
+                if (site not in _ADMIN_IO_SITES
+                        or kind not in faults.DISK_KINDS):
+                    self.stats.net_protocol_errors += 1
+                    return (
+                        protocol.ST_BAD_REQUEST, 0,
+                        f"admin may arm only io.* disk faults, not "
+                        f"{kind!r} at {site!r}",
+                    )
+                faults.arm(site, kind, **dict(kwargs))
                 return protocol.ST_OK, 0, None
             if cmd == "iofault_disarm":
-                iofaults.disarm(args[0])
+                if args[0] in _ADMIN_IO_SITES:
+                    faults.disarm(args[0])
                 return protocol.ST_OK, 0, None
             if cmd == "partition":
                 index, severed = int(args[0]), bool(args[1])

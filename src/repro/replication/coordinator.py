@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from ..concurrency import sanitizer
-from ..testing import failpoints
+from ..testing import faults
 from .primary import Primary
 from .replica import Replica
 from .transport import ReplicationTransport, TransportError
@@ -174,12 +174,12 @@ class FailoverCoordinator:
         one — it strikes the same way, so the cluster fails over to a
         replica whose disk still works instead of serving errors.
         """
-        failpoints.fire("repl.health_check")
+        faults.fire("repl.health_check")
         self.health_checks += 1
         try:
             self.primary_transport.ping()
             healthy = self.primary.durable.health.writable
-        except (TransportError, failpoints.FailpointError):
+        except (TransportError, faults.FaultError):
             healthy = False
         if not healthy:
             self.strikes += 1
@@ -225,13 +225,13 @@ class FailoverCoordinator:
         # From this instant the old primary can no longer confirm its
         # lease: every later acknowledgement attempt raises FencedError
         # even if the decree below never reaches it.
-        failpoints.fire("repl.fence")
+        faults.fire("repl.fence")
         fencing_delivered = True
         try:
             self.primary_transport.fence(new_epoch)
-        except (TransportError, failpoints.FailpointError):
+        except (TransportError, faults.FaultError):
             fencing_delivered = False
-        failpoints.fire("repl.promote")
+        faults.fire("repl.promote")
         new_primary, scrub_report = winner.promote(
             epoch=new_epoch,
             registry=self.registry,
@@ -247,7 +247,7 @@ class FailoverCoordinator:
                 replica.bootstrap()
                 new_primary.attach(replica)
                 rebootstrapped += 1
-            except (TransportError, failpoints.FailpointError):
+            except (TransportError, faults.FaultError):
                 continue
         self.primary = new_primary
         self.primary_transport = self.transport_factory(new_primary)

@@ -47,7 +47,7 @@ from ..core.wal import (
     WALTruncatedError,
     first_position,
 )
-from ..testing import failpoints
+from ..testing import faults
 from .transport import FetchResult, ReplicationError, SnapshotPayload, TransportError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -368,7 +368,7 @@ class Primary:
                         continue
                 replica.catch_up(target, deadline=deadline)
                 acks += 1
-            except (TransportError, ReplicationError, failpoints.FailpointError):
+            except (TransportError, ReplicationError, faults.FaultError):
                 continue
             if acks >= self.required_acks:
                 return
@@ -449,7 +449,7 @@ class Primary:
     ) -> FetchResult:
         """Serve records from ``position``; ``truncated`` when the
         position falls outside the retained WAL window."""
-        failpoints.fire("repl.ship_record")
+        faults.fire("repl.ship_record")
         with self._meta_lock:
             base = self._base
         tail = self.wal.tail_position()
@@ -535,7 +535,7 @@ class Primary:
 
     def __exit__(self, *exc_info: Any) -> None:
         if exc_info[0] is not None and issubclass(
-            exc_info[0], failpoints.SimulatedCrash
+            exc_info[0], faults.SimulatedCrash
         ):
             return
         self.close()

@@ -58,7 +58,7 @@ from ..core.wal import (
     WALError,
     WALPosition,
 )
-from ..testing import failpoints
+from ..testing import faults
 from .primary import EPOCH_FILENAME, Primary
 from .transport import (
     ReplicationError,
@@ -349,7 +349,7 @@ class Replica:
             ):
                 self.duplicates_skipped += 1
                 continue
-            failpoints.fire("repl.apply_record")
+            faults.fire("repl.apply_record")
             if zlib.crc32(record.payload) != record.crc:
                 self.crc_failures += 1
                 raise ReplicationError(

@@ -14,11 +14,11 @@ unchanged.
 Fault injection comes in two flavours, both living here so every
 transport failure mode is exercised through the same seam:
 
-* **failpoints** — ``repl.transport.drop`` / ``delay`` / ``reorder``
+* **fault sites** — ``repl.transport.drop`` / ``delay`` / ``reorder``
   and ``repl.snapshot_fetch`` fire on every call; arming one with
-  ``mode="raise"`` turns that call into a deterministic failure (the
-  replication layer treats :class:`~repro.testing.failpoints.\
-FailpointError` exactly like a :class:`TransportError`).
+  ``kind="raise"`` turns that call into a deterministic failure (the
+  replication layer treats :class:`~repro.testing.faults.FaultError`
+  exactly like a :class:`TransportError`).
 * **chaos knobs** — :class:`TransportChaos` drives *probabilistic*
   drops (empty response, cursor unmoved), delays (only a prefix of the
   batch is delivered), and reorder/duplicate delivery (the previous
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..core.wal import WALPosition, WALRecord
-from ..testing import failpoints
+from ..testing import faults
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .primary import Primary
@@ -177,7 +177,7 @@ class InProcessTransport(ReplicationTransport):
 
     def fetch_snapshot(self) -> SnapshotPayload:
         self._check_link()
-        failpoints.fire("repl.snapshot_fetch")
+        faults.fire("repl.snapshot_fetch")
         return self.primary.snapshot_payload()
 
     def fetch_records(
@@ -188,7 +188,7 @@ class InProcessTransport(ReplicationTransport):
         max_bytes: int = 1 << 20,
     ) -> FetchResult:
         self._check_link()
-        failpoints.fire("repl.transport.drop")
+        faults.fire("repl.transport.drop")
         chaos = self.chaos
         if chaos is not None and chaos.rng.random() < chaos.drop_probability:
             # Lost response: the replica's cursor stays put and it
@@ -199,7 +199,7 @@ class InProcessTransport(ReplicationTransport):
                 records=[], position=position, epoch=self.primary.epoch,
                 tail=tail, lag_bytes=0, truncated=False,
             )
-        failpoints.fire("repl.transport.reorder")
+        faults.fire("repl.transport.reorder")
         if (
             chaos is not None
             and self._last_batch is not None
@@ -214,7 +214,7 @@ class InProcessTransport(ReplicationTransport):
         result = self.primary.fetch_records(
             position, max_records=max_records, max_bytes=max_bytes
         )
-        failpoints.fire("repl.transport.delay")
+        faults.fire("repl.transport.delay")
         if (
             chaos is not None
             and len(result.records) > 1

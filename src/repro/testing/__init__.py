@@ -1,29 +1,6 @@
 """Fault-injection utilities shared by the durability layer and tests."""
 
-from . import iofaults
-from .failpoints import (
-    KNOWN_FAILPOINTS,
-    FailpointError,
-    SimulatedCrash,
-    active,
-    armed,
-    fire,
-    hit_count,
-    hit_counts,
-    registered,
-    reset,
-)
+from . import faults
+from .faults import FaultError, SimulatedCrash
 
-__all__ = [
-    "iofaults",
-    "KNOWN_FAILPOINTS",
-    "FailpointError",
-    "SimulatedCrash",
-    "active",
-    "armed",
-    "fire",
-    "hit_count",
-    "hit_counts",
-    "registered",
-    "reset",
-]
+__all__ = ["faults", "FaultError", "SimulatedCrash"]

@@ -7,14 +7,15 @@ truncations under the stream, and probabilistic transport drop / delay /
 duplicate chaos — then heals everything, lets the cluster converge, and
 checks the two properties the replication design promises:
 
-1. **No acknowledged write is ever lost.**  The harness keeps a
-   *certainty oracle*: the last op per key is recorded only when the
-   primary of the current epoch acknowledged it (synchronous quorum
-   acks).  A rejected write (``FencedError`` before any state change,
-   or ``AckQuorumError`` after local durability but below quorum) makes
-   the key *uncertain* and drops it from the oracle — surviving is
-   allowed, being relied on is not.  At the end, every certain key must
-   hold its certain value on the final primary.
+1. **No acknowledged write is ever lost.**  The harness keeps an
+   :class:`~repro.testing.oracle.AckOracle` (shared by every soak): the
+   last op per key is recorded only when the primary of the current
+   epoch acknowledged it (synchronous quorum acks).  A rejected write
+   (``FencedError`` before any state change, or ``AckQuorumError``
+   after local durability but below quorum) makes the key *uncertain*
+   and drops it from the oracle — surviving is allowed, being relied on
+   is not.  At the end, every certain key must hold its certain value
+   on the final primary.
 2. **Replicas converge byte-for-byte.**  After healing and draining,
    every replica's ``items()`` must equal the final primary's
    ``items()``, and the final primary's durability directory must
@@ -50,7 +51,8 @@ from ..replication import (
     TransportChaos,
     TransportError,
 )
-from . import failpoints, iofaults
+from . import faults
+from .oracle import AckOracle
 
 
 @dataclass
@@ -334,7 +336,7 @@ class ChaosSoak:
     def run(self) -> ChaosReport:
         cfg = self.config
         report = self.report
-        certain: dict = {}
+        oracle = AckOracle()
         for step in range(cfg.ops):
             if self.rng.random() < cfg.event_probability:
                 self._event()
@@ -357,29 +359,12 @@ class ChaosSoak:
                 # repeated failovers do not drain the cluster.
                 self._retired += 1
             report.ops += 1
-            key = self.rng.randrange(cfg.key_space)
-            value = step
-            roll = self.rng.random()
+            op = _ClientOp(self.rng, cfg.key_space, cfg.batch_max, step)
             if not self.primary.alive:
                 report.unavailable += 1
                 continue
             try:
-                if roll < 0.60:
-                    self.primary.insert(key, value)
-                    certain[key] = ("present", value)
-                elif roll < 0.75:
-                    self.primary.delete(key)
-                    certain[key] = ("absent", None)
-                else:
-                    batch = [
-                        ((key + j) % cfg.key_space, value)
-                        for j in range(
-                            1 + self.rng.randrange(cfg.batch_max)
-                        )
-                    ]
-                    self.primary.insert_many(batch)
-                    for k, v in batch:
-                        certain[k] = ("present", v)
+                op.apply(self.primary, oracle)
                 report.acked += 1
             except FencedError:
                 # Rejected before any state change: the oracle entry for
@@ -389,14 +374,11 @@ class ChaosSoak:
                 # Locally durable but below quorum: the key's fate now
                 # depends on which node wins a future election.
                 report.ack_failures += 1
-                if roll < 0.75:
-                    certain.pop(key, None)
-                else:
-                    for k, _ in batch:
-                        certain.pop(k, None)
+                for k in op.keys:
+                    oracle.doubt(k)
             except TransportError:
                 report.unavailable += 1
-        self._finish(certain)
+        self._finish(oracle)
         return report
 
     def _restart_primary(self) -> None:
@@ -424,7 +406,7 @@ class ChaosSoak:
 
     # -- convergence and verdicts --------------------------------------
 
-    def _finish(self, certain: dict) -> None:
+    def _finish(self, oracle: AckOracle) -> None:
         report = self.report
         cfg = self.config
         self._heal()
@@ -470,19 +452,10 @@ class ChaosSoak:
         for replica in self.coordinator.replicas:
             report.bootstraps += replica.bootstraps
         report.final_epoch = self.registry.current()
-        report.certain_keys = len(certain)
+        report.certain_keys = len(oracle)
         primary_items = list(self.primary.items())
         report.final_entries = len(primary_items)
-        state = dict(primary_items)
-        for key, (kind, value) in sorted(certain.items()):
-            if kind == "present":
-                if state.get(key, _MISSING) != value:
-                    report.lost_writes.append(
-                        (key, value, state.get(key, None))
-                    )
-            else:
-                if key in state:
-                    report.lost_writes.append((key, None, state[key]))
+        report.lost_writes = oracle.lost(dict(primary_items).get)
         for replica in self.coordinator.replicas:
             if replica.items() != primary_items:
                 report.divergent_replicas.append(replica.name)
@@ -512,14 +485,46 @@ class ChaosSoak:
             replica.close()
 
 
-_MISSING = object()
+class _ClientOp:
+    """One random client op of the in-process soaks, drawn from ``rng``:
+    60% insert, 15% delete, 25% batch insert of up to ``batch_max``
+    consecutive keys (the batch length is drawn only when applied)."""
+
+    def __init__(
+        self, rng: random.Random, key_space: int, batch_max: int, value: int
+    ) -> None:
+        self.rng = rng
+        self.key_space = key_space
+        self.batch_max = batch_max
+        self.key = rng.randrange(key_space)
+        self.value = value
+        self.roll = rng.random()
+        #: The keys this op writes (known once the batch is drawn).
+        self.keys = [self.key]
+
+    def apply(self, primary: Primary, oracle: AckOracle) -> None:
+        """Run the op; it reaches ``oracle`` only once acknowledged."""
+        if self.roll < 0.60:
+            primary.insert(self.key, self.value)
+            oracle.ack_put(self.key, self.value)
+        elif self.roll < 0.75:
+            primary.delete(self.key)
+            oracle.ack_delete(self.key)
+        else:
+            self.keys = [
+                (self.key + j) % self.key_space
+                for j in range(1 + self.rng.randrange(self.batch_max))
+            ]
+            primary.insert_many([(k, self.value) for k in self.keys])
+            for k in self.keys:
+                oracle.ack_put(k, self.value)
 
 
 def run_soak(
     root: Union[str, Path], config: Optional[ChaosConfig] = None
 ) -> ChaosReport:
     """Convenience wrapper: build, run, and report one soak schedule."""
-    failpoints.reset()
+    faults.reset()
     return ChaosSoak(root, config or ChaosConfig()).run()
 
 
@@ -670,14 +675,14 @@ class IOFaultSoak:
     def _eio_burst(self) -> None:
         """Two consecutive EIO on the WAL write: retries must absorb it
         so the in-flight op still acks."""
-        iofaults.arm("io.wal.write", "eio", times=2)
+        faults.arm("io.wal.write", "eio", times=2)
         self.report.eio_bursts += 1
 
-    def _enospc_window(self, certain: dict) -> None:
+    def _enospc_window(self, oracle: AckOracle) -> None:
         """Unbounded fsync ENOSPC: degrade to read-only, keep serving
         reads, refuse mutations fast, heal when the disk clears."""
         cfg = self.config
-        iofaults.arm("io.wal.fsync", "enospc")
+        faults.arm("io.wal.fsync", "enospc")
         try:
             for _ in range(cfg.enospc_window_ops):
                 key = self.rng.randrange(cfg.key_space)
@@ -695,16 +700,16 @@ class IOFaultSoak:
                         raise AssertionError(
                             "mutation acknowledged while read-only"
                         )
-                    certain[key] = ("present", "doomed")
+                    oracle.ack_put(key, "doomed")
                     self.report.acked += 1
                 # Reads must keep serving the acked history throughout.
-                probe = self._any_certain(certain)
+                probe = oracle.any_put()
                 if probe is not None:
                     k, v = probe
-                    if self.primary.get(k, _MISSING) == v:
+                    if self.primary.get(k, None) == v:
                         self.report.reads_served_degraded += 1
         finally:
-            iofaults.disarm("io.wal.fsync")
+            faults.disarm("io.wal.fsync")
         # The disk came back: a checkpoint proves it end-to-end (full
         # snapshot write + WAL truncate) and restores HEALTHY.
         self.primary.checkpoint()
@@ -712,12 +717,6 @@ class IOFaultSoak:
             raise AssertionError(
                 "checkpoint on the freed disk did not restore HEALTHY"
             )
-
-    def _any_certain(self, certain: dict) -> Optional[tuple]:
-        for key, (kind, value) in certain.items():
-            if kind == "present":
-                return key, value
-        return None
 
     def _bitrot_event(self) -> bool:
         """Flip one byte mid-record in a closed replica segment, then
@@ -755,7 +754,7 @@ class IOFaultSoak:
     def run(self) -> IOFaultReport:
         cfg = self.config
         report = self.report
-        certain: dict = {}
+        oracle = AckOracle()
         # Deterministic fault placement: bursts in the middle half,
         # the ENOSPC window at midpoint, bit rot at the 3/4 mark.
         burst_at = set(
@@ -769,7 +768,7 @@ class IOFaultSoak:
             if step in burst_at:
                 self._eio_burst()
             if step == enospc_at:
-                self._enospc_window(certain)
+                self._enospc_window(oracle)
             if step == cfg.ops * 3 // 4:
                 bitrot_due = True
             if bitrot_due:
@@ -783,42 +782,27 @@ class IOFaultSoak:
                         f"routine scrub false positive: {cycle.issues}"
                     )
             report.ops += 1
-            key = self.rng.randrange(cfg.key_space)
-            value = step
-            roll = self.rng.random()
+            op = _ClientOp(self.rng, cfg.key_space, cfg.batch_max, step)
             try:
-                if roll < 0.60:
-                    self.primary.insert(key, value)
-                    certain[key] = ("present", value)
-                elif roll < 0.75:
-                    self.primary.delete(key)
-                    certain[key] = ("absent", None)
-                else:
-                    batch = [
-                        ((key + j) % cfg.key_space, value)
-                        for j in range(1 + self.rng.randrange(cfg.batch_max))
-                    ]
-                    self.primary.insert_many(batch)
-                    for k, v in batch:
-                        certain[k] = ("present", v)
+                op.apply(self.primary, oracle)
                 report.acked += 1
             except ReadOnlyError:
                 # Refused before any state change: nothing was acked,
                 # the oracle entry for this key is still exactly right.
                 report.read_only_refusals += 1
-        self._finish(certain)
+        self._finish(oracle)
         return report
 
     # -- convergence and verdicts --------------------------------------
 
-    def _finish(self, certain: dict) -> None:
+    def _finish(self, oracle: AckOracle) -> None:
         report = self.report
         cfg = self.config
         report.injected = {
             f"{site}:{kind}": count
-            for (site, kind), count in iofaults.injected_counts().items()
+            for (site, kind), count in faults.counts().items()
         }
-        iofaults.reset()
+        faults.reset()
         self.replica.catch_up(self.primary.tail_position(), max_rounds=64)
         health = self.primary.durable.health
         report.health_retries = health.retries
@@ -830,15 +814,7 @@ class IOFaultSoak:
         report.peer_repairs = self.scrubber.peer_repairs
         primary_items = list(self.primary.items())
         report.final_entries = len(primary_items)
-        state = dict(primary_items)
-        for key, (kind, value) in sorted(certain.items()):
-            if kind == "present":
-                if state.get(key, _MISSING) != value:
-                    report.lost_writes.append(
-                        (key, value, state.get(key, None))
-                    )
-            elif key in state:
-                report.lost_writes.append((key, None, state[key]))
+        report.lost_writes = oracle.lost(dict(primary_items).get)
         if self.replica.items() != primary_items:
             report.divergent_replicas.append(self.replica.name)
         report.converged = not report.divergent_replicas
@@ -855,8 +831,7 @@ def run_iofault_soak(
     root: Union[str, Path], config: Optional[IOFaultConfig] = None
 ) -> IOFaultReport:
     """Build, run, and report one seeded disk-fault soak."""
-    failpoints.reset()
-    iofaults.reset()
+    faults.reset()
     return IOFaultSoak(root, config or IOFaultConfig()).run()
 
 

@@ -53,6 +53,7 @@ from typing import Any, Optional
 
 from ..net import client as net_client
 from ..net import protocol
+from .oracle import AckOracle
 
 #: Seconds per client allowed between consecutive successful requests
 #: before the soak calls the outage unbounded.  Covers a SIGKILL, a
@@ -402,12 +403,10 @@ def _verify(report: NetChaosReport, state: Path, logs: list[Path]) -> None:
     durable, _ = DurableTree.recover(state)
     try:
         report.final_entries = len(durable)
-        missing = object()
         boots: set[int] = set()
         for log_path in logs:
             last_ok: Optional[float] = None
-            expect: dict[int, Any] = {}   # key -> value | missing
-            in_doubt: set[int] = set()
+            oracle = AckOracle()
             if not log_path.exists():
                 report.notes.append(f"missing client log {log_path.name}")
                 continue
@@ -421,15 +420,13 @@ def _verify(report: NetChaosReport, state: Path, logs: list[Path]) -> None:
                 if kind == "put":
                     _, key, value, deduped, boot, ts = event
                     report.acked_puts += 1
-                    expect[key] = value
-                    in_doubt.discard(key)
+                    oracle.ack_put(key, value)
                     boots.add(boot)
                     last_ok = _window(report, last_ok, ts)
                 elif kind == "del":
                     _, key, existed, deduped, boot, ts = event
                     report.acked_deletes += 1
-                    expect[key] = missing
-                    in_doubt.discard(key)
+                    oracle.ack_delete(key)
                     boots.add(boot)
                     last_ok = _window(report, last_ok, ts)
                 elif kind == "probe":
@@ -446,23 +443,19 @@ def _verify(report: NetChaosReport, state: Path, logs: list[Path]) -> None:
                     if name == "retries_exhausted":
                         report.retries_exhausted += 1
                     # Unacked: the op may or may not have applied.
-                    in_doubt.add(key)
-            # Acked-write loss check: keys whose last event was an ack.
-            for key, value in expect.items():
-                if key in in_doubt:
-                    continue
-                found = durable.get(key, missing)
-                if value is missing:
-                    if found is not missing:
-                        report.lost_acks += 1
-                        report.notes.append(
-                            f"acked delete of {key} resurfaced as {found!r}"
-                        )
-                elif found is missing or found != value:
-                    report.lost_acks += 1
+                    oracle.doubt(key)
+            # Acked-write loss check: keys whose last event was an ack
+            # (client values are never None, so None means a delete).
+            for key, expected, found in oracle.lost(durable.get):
+                report.lost_acks += 1
+                if expected is None:
                     report.notes.append(
-                        f"acked put {key}={value!r} recovered as "
-                        f"{'<missing>' if found is missing else repr(found)}"
+                        f"acked delete of {key} resurfaced as {found!r}"
+                    )
+                else:
+                    report.notes.append(
+                        f"acked put {key}={expected!r} recovered as "
+                        f"{'<missing>' if found is None else repr(found)}"
                     )
         report.boot_ids_seen = len(boots)
     finally:

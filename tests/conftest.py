@@ -8,7 +8,7 @@ import zlib
 import pytest
 
 from repro.concurrency import sanitizer
-from repro.testing import failpoints, iofaults
+from repro.testing import faults
 from repro.core import (
     BPlusTree,
     LilBPlusTree,
@@ -36,17 +36,10 @@ FASTPATH_TREE_CLASSES = ALL_TREE_CLASSES[1:]
 
 
 @pytest.fixture(autouse=True)
-def _disarm_failpoints():
-    """Failpoint arming is process-global; never leak across tests."""
+def _disarm_faults():
+    """Fault arming is process-global; never leak across tests."""
     yield
-    failpoints.reset()
-
-
-@pytest.fixture(autouse=True)
-def _disarm_iofaults():
-    """I/O fault arming is process-global; never leak across tests."""
-    yield
-    iofaults.reset()
+    faults.reset()
 
 
 @pytest.fixture(autouse=True)

@@ -1,11 +1,16 @@
-"""Fixture: fire sites that drift from the registry in ``failpoints.py``
-(same directory).  Seeded violations for ``failpoint-parity``.  Never
+"""Fixture: fault calls that drift from the registry in ``faults.py``
+(same directory).  Seeded violations for ``fault-parity``.  Never
 imported."""
 
-from . import failpoints  # noqa: F401  (fixture only; never executed)
+from . import faults  # noqa: F401  (fixture only; never executed)
 
 
-def do_write(name):
-    failpoints.fire("io.write")  # registered: fine
-    failpoints.fire("io.unregistered")  # not in KNOWN_FAILPOINTS
-    failpoints.fire(name)  # non-literal: invisible to coverage
+def do_io(name, fh, data, path):
+    faults.fire("wal.ok")  # registered control site: fine
+    faults.write("io.ok.write", fh, data)  # registered write site: fine
+    faults.read_bytes("io.ok.read", path)  # registered read site: fine
+    faults.fire("wal.unregistered")  # fire site not registered
+    faults.fsync("io.unregistered", fh)  # shim site not registered
+    faults.fire(name)  # non-literal: invisible to coverage
+    faults.fire("io.ok.read")  # fire on an io-only site
+    faults.write("wal.ok", fh, data)  # shim on a control site

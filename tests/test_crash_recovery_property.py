@@ -1,6 +1,7 @@
 """The acceptance property for the durability layer.
 
-For EVERY registered failpoint: logically kill the process mid-way
+For EVERY registered crash site (control-flow and ``io.*`` write
+sites alike): logically kill the process mid-way
 through a random ~1k-op workload (inserts, deletes, batched inserts,
 periodic checkpoints) on a ``DurableTree`` with ``fsync="always"``,
 recover from the directory, and compare against a dict oracle of
@@ -27,7 +28,7 @@ import pytest
 from repro.core import DurableTree, QuITTree, TreeConfig
 from repro.core.durable import WAL_DIRNAME
 from repro.core.wal import segment_paths
-from repro.testing import KNOWN_FAILPOINTS, SimulatedCrash, failpoints
+from repro.testing import SimulatedCrash, faults
 
 CFG = TreeConfig(leaf_capacity=8, internal_capacity=8)
 
@@ -114,22 +115,25 @@ def allowed_states(oracle: dict, inflight) -> list[dict]:
     return states
 
 
-# The single-node workload below cannot reach replication sites; those
-# are crash-tested by tests/test_replication.py and the chaos soak.
-# The wal.group.* sites only exist on the group-commit flusher, which
-# fsync="always" never starts — they get their own sweep below.
-CORE_FAILPOINTS = [
-    name
-    for name in KNOWN_FAILPOINTS
-    if not name.startswith(("repl.", "wal.group."))
+#: Every site where a crash is permitted, in registry order: the
+#: control-flow sites first, then the ``io.*`` write sites (appended
+#: after them, so the seeds derived from each index stay put).  The
+#: single-node workload below cannot reach replication sites; those are
+#: crash-tested by tests/test_replication.py and the chaos soak.
+CRASH_SITES = [
+    site
+    for site, kinds in faults.SITES.items()
+    if "crash" in kinds and not site.startswith("repl.")
 ]
+
+#: The wal.group.* sites only exist on the group-commit flusher, which
+#: fsync="always" never starts — they get their own sweep below.
+CORE_FAILPOINTS = [s for s in CRASH_SITES if not s.startswith("wal.group.")]
 
 #: Under fsync="group" every core site fires — the shared ones from the
 #: flusher thread (write/fsync/rotate) or the writer thread (enqueue),
 #: plus the three batch-boundary sites unique to the pipeline.
-GROUP_FAILPOINTS = [
-    name for name in KNOWN_FAILPOINTS if not name.startswith("repl.")
-]
+GROUP_FAILPOINTS = CRASH_SITES
 
 
 class TestCrashAtEveryFailpoint:
@@ -138,8 +142,8 @@ class TestCrashAtEveryFailpoint:
     def test_recovers_to_oracle(self, tmp_path, failpoint, hits_before):
         seed = CORE_FAILPOINTS.index(failpoint) * 10 + hits_before
         ops = make_ops(seed)
-        with failpoints.active(
-            failpoint, mode="crash", hits_before=hits_before
+        with faults.inject(
+            failpoint, "crash", hits_before=hits_before
         ) as state:
             oracle, inflight, survivor = run_workload(tmp_path, ops)
         assert survivor is None and state.fired == 1, (
@@ -168,8 +172,8 @@ class TestCrashAtEveryFailpoint:
         """Crash → recover → keep writing → crash again → recover:
         acknowledgements from both lives must survive."""
         ops = make_ops(seed=999)
-        with failpoints.active(
-            "wal.before_fsync", mode="crash", hits_before=120
+        with faults.inject(
+            "wal.before_fsync", "crash", hits_before=120
         ):
             oracle, inflight, _ = run_workload(tmp_path, ops)
         recovered, _ = DurableTree.recover(tmp_path, QuITTree, CFG)
@@ -180,8 +184,8 @@ class TestCrashAtEveryFailpoint:
         oracle2 = dict(got)
         op = None
         try:
-            with failpoints.active(
-                "wal.after_append", mode="crash", hits_before=60
+            with faults.inject(
+                "wal.after_append", "crash", hits_before=60
             ):
                 for op in make_ops(seed=1000, n=300):
                     if op[0] == "c":
@@ -216,8 +220,8 @@ class TestCrashAtEveryGroupFailpoint:
     def test_recovers_to_oracle(self, tmp_path, failpoint, hits_before):
         seed = GROUP_FAILPOINTS.index(failpoint) * 100 + hits_before
         ops = make_ops(seed)
-        with failpoints.active(
-            failpoint, mode="crash", hits_before=hits_before
+        with faults.inject(
+            failpoint, "crash", hits_before=hits_before
         ) as state:
             oracle, inflight, survivor = run_workload(
                 tmp_path, ops, fsync="group"
@@ -245,8 +249,8 @@ class TestCrashAtEveryGroupFailpoint:
         ``fsync="group"``: the new facade's flusher works and acked
         writes from both lives survive a clean close."""
         ops = make_ops(seed=31337)
-        with failpoints.active(
-            "wal.group.pre_fsync", mode="crash", hits_before=50
+        with faults.inject(
+            "wal.group.pre_fsync", "crash", hits_before=50
         ):
             oracle, inflight, _ = run_workload(tmp_path, ops, fsync="group")
         recovered, _ = DurableTree.recover(
@@ -290,8 +294,8 @@ class TestCorruptedTailProperty:
         must return a report (not raise) and land on an *exact prefix*
         of the acknowledged history — no phantoms, no reordering."""
         ops = make_ops(seed=7)
-        with failpoints.active(
-            "wal.before_fsync", mode="crash", hits_before=200
+        with faults.inject(
+            "wal.before_fsync", "crash", hits_before=200
         ):
             oracle, inflight, _ = run_workload(tmp_path, ops)
         segs = segment_paths(tmp_path / WAL_DIRNAME)

@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.core.durable import SNAPSHOT_NAME, WAL_DIRNAME
 from repro.core.wal import replay_wal, segment_paths
-from repro.testing import SimulatedCrash, failpoints
+from repro.testing import SimulatedCrash, faults
 
 from conftest import ALL_TREE_CLASSES, legacy_snapshot_bytes
 
@@ -132,7 +132,7 @@ class TestCheckpoint:
             t.delete(i)
         expected = reference_state(t.tree)
         wal_records = replay_wal(tmp_path / WAL_DIRNAME).records
-        with failpoints.active("checkpoint.before_truncate", mode="crash"):
+        with faults.inject("checkpoint.before_truncate", "crash"):
             with pytest.raises(SimulatedCrash):
                 t.checkpoint()
         # Snapshot replaced, WAL untouched: both describe the state.
@@ -152,8 +152,8 @@ class TestCheckpoint:
             t.insert(i, i)
         expected = reference_state(t.tree)
         assert len(segment_paths(tmp_path / WAL_DIRNAME)) > 2
-        with failpoints.active(
-            "wal.before_truncate_segment", mode="crash", hits_before=1
+        with faults.inject(
+            "wal.before_truncate_segment", "crash", hits_before=1
         ):
             with pytest.raises(SimulatedCrash):
                 t.checkpoint()
@@ -169,7 +169,7 @@ class TestCheckpoint:
         t.checkpoint()
         t.insert(500, "next-epoch")
         expected = reference_state(t.tree)
-        with failpoints.active("snapshot.after_tmp_write", mode="crash"):
+        with faults.inject("snapshot.after_tmp_write", "crash"):
             with pytest.raises(SimulatedCrash):
                 t.checkpoint()
         # The abandoned temp file must not shadow or replace anything.

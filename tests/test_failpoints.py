@@ -1,118 +1,173 @@
-"""The fault-injection framework itself: arming semantics, modes,
-scoping, and the registry contract the durability layer relies on."""
+"""The fault registry itself (:mod:`repro.testing.faults`): arming
+semantics, kinds, scoping, counters, and the registry contract the
+durability and replication layers rely on.  The disk shims and the
+survivability property live in tests/test_iofaults.py."""
 
 import pytest
 
-from repro.testing import (
-    KNOWN_FAILPOINTS,
-    FailpointError,
-    SimulatedCrash,
-    failpoints,
-)
+from repro.testing import FaultError, SimulatedCrash, faults
 
 
 class TestRegistry:
     def test_known_names_are_stable_and_nonempty(self):
-        assert "wal.before_fsync" in KNOWN_FAILPOINTS
-        assert "snapshot.after_tmp_write" in KNOWN_FAILPOINTS
-        assert "checkpoint.before_truncate" in KNOWN_FAILPOINTS
-        assert failpoints.registered() == KNOWN_FAILPOINTS
+        for site in (
+            "wal.before_fsync",
+            "snapshot.after_tmp_write",
+            "checkpoint.before_truncate",
+        ):
+            assert faults.SITES[site] == ("raise", "crash")
+        assert set(faults.SITES) == set(
+            faults.CONTROL_SITES + faults.IO_WRITE_SITES + faults.IO_READ_SITES
+        )
+        for site in faults.IO_WRITE_SITES:
+            assert faults.SITES[site] == faults.DISK_KINDS + ("crash",)
+        for site in faults.IO_READ_SITES:
+            assert faults.SITES[site] == faults.DISK_KINDS
 
     def test_unknown_name_rejected_at_arming(self):
-        with pytest.raises(ValueError, match="unknown failpoint"):
-            with failpoints.active("wal.no_such_point"):
+        with pytest.raises(ValueError, match="unknown fault site"):
+            with faults.inject("wal.no_such_point", "raise"):
                 pass
+        with pytest.raises(ValueError, match="unknown fault site"):
+            faults.arm("wal.no_such_point", "raise")
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown failpoint mode"):
-            with failpoints.active("wal.before_fsync", mode="explode"):
-                pass
+        # A kind is checked against its own site's permitted kinds.
+        for site, kind in (
+            ("wal.before_fsync", "explode"),
+            ("wal.before_fsync", "eio"),  # disk kind at a control site
+            ("io.wal.write", "raise"),  # control kind at a disk site
+            ("io.wal.read", "crash"),  # read sites never crash
+        ):
+            with pytest.raises(ValueError, match="not permitted"):
+                faults.arm(site, kind)
+        assert faults.armed() == {}
 
     def test_double_arming_rejected(self):
-        with failpoints.active("wal.before_fsync"):
+        with faults.inject("wal.before_fsync", "raise"):
             with pytest.raises(RuntimeError, match="already armed"):
-                with failpoints.active("wal.before_fsync"):
+                with faults.inject("wal.before_fsync", "raise"):
                     pass
+            # The refused inner block left the outer fault armed.
+            assert faults.armed() == {"wal.before_fsync": "raise"}
+
+    def test_arm_replaces_an_armed_site(self):
+        first = faults.arm("wal.before_fsync", "raise")
+        second = faults.arm("wal.before_fsync", "crash", hits_before=1)
+        assert faults.armed() == {"wal.before_fsync": "crash"}
+        faults.fire("wal.before_fsync")  # skipped by the new hits_before
+        with pytest.raises(SimulatedCrash):
+            faults.fire("wal.before_fsync")
+        assert (first.fired, second.fired) == (0, 1)
 
 
 class TestFiring:
     def test_unarmed_fire_is_a_no_op(self):
-        failpoints.fire("wal.before_fsync")  # nothing armed: no raise
+        faults.fire("wal.before_fsync")  # nothing armed: no raise
 
     def test_raise_mode(self):
-        with failpoints.active("wal.before_fsync", mode="raise"):
-            with pytest.raises(FailpointError):
-                failpoints.fire("wal.before_fsync")
+        with faults.inject("wal.before_fsync", "raise"):
+            with pytest.raises(FaultError):
+                faults.fire("wal.before_fsync")
 
     def test_crash_mode_bypasses_except_exception(self):
-        with failpoints.active("wal.before_fsync", mode="crash"):
+        with faults.inject("wal.before_fsync", "crash"):
             with pytest.raises(SimulatedCrash):
                 try:
-                    failpoints.fire("wal.before_fsync")
+                    faults.fire("wal.before_fsync")
                 except Exception:  # durability-layer cleanup can't eat it
                     pytest.fail("SimulatedCrash was caught as Exception")
 
     def test_scope_disarms_on_exit(self):
-        with failpoints.active("wal.before_fsync"):
-            assert failpoints.armed() == ("wal.before_fsync",)
-        assert failpoints.armed() == ()
-        failpoints.fire("wal.before_fsync")  # disarmed again
+        with faults.inject("wal.before_fsync", "raise"):
+            assert faults.armed() == {"wal.before_fsync": "raise"}
+        assert faults.armed() == {}
+        faults.fire("wal.before_fsync")  # disarmed again
 
     def test_hits_before_skips_early_hits(self):
-        with failpoints.active(
-            "wal.before_fsync", mode="raise", hits_before=2
+        with faults.inject(
+            "wal.before_fsync", "raise", hits_before=2
         ) as state:
-            failpoints.fire("wal.before_fsync")
-            failpoints.fire("wal.before_fsync")
+            faults.fire("wal.before_fsync")
+            faults.fire("wal.before_fsync")
             assert state.fired == 0
-            with pytest.raises(FailpointError):
-                failpoints.fire("wal.before_fsync")
+            with pytest.raises(FaultError):
+                faults.fire("wal.before_fsync")
             assert state.fired == 1
 
     def test_other_points_unaffected_while_one_is_armed(self):
-        with failpoints.active("wal.before_fsync", mode="raise"):
-            failpoints.fire("checkpoint.before_truncate")  # no raise
+        with faults.inject("wal.before_fsync", "raise"):
+            faults.fire("checkpoint.before_truncate")  # no raise
 
     def test_probabilistic_mode_is_seeded_and_partial(self):
         fired = 0
-        with failpoints.active(
-            "wal.before_fsync", mode="probability",
-            probability=0.5, seed=7,
+        with faults.inject(
+            "wal.before_fsync", "crash", probability=0.5, seed=7,
         ) as state:
             for _ in range(100):
                 try:
-                    failpoints.fire("wal.before_fsync")
+                    faults.fire("wal.before_fsync")
                 except SimulatedCrash:
                     fired += 1
         assert fired == state.fired
         assert 20 < fired < 80  # seeded coin, not all-or-nothing
 
+    def test_unseeded_probability_repeats(self):
+        """Every fault owns ``random.Random(seed)`` with ``seed=0`` by
+        default, so an unseeded coin fires on the same hits each time."""
+
+        def fired_at():
+            hits = []
+            with faults.inject("wal.before_fsync", "raise", probability=0.5):
+                for i in range(64):
+                    try:
+                        faults.fire("wal.before_fsync")
+                    except FaultError:
+                        hits.append(i)
+            return hits
+
+        first, second = fired_at(), fired_at()
+        assert first == second
+        assert 0 < len(first) < 64
+
+    def test_times_caps_firing_and_counts_per_kind(self):
+        with faults.inject("repl.fence", "raise", times=2) as state:
+            for _ in range(5):
+                try:
+                    faults.fire("repl.fence")
+                except FaultError:
+                    pass
+        assert (state.hits, state.fired) == (5, 2)
+        assert faults.counts() == {("repl.fence", "raise"): 2}
+
     def test_hit_counting_while_armed(self):
-        failpoints.reset()
-        with failpoints.active(
-            "wal.before_fsync", mode="raise", hits_before=10**9
+        faults.reset()
+        with faults.inject(
+            "wal.before_fsync", "raise", hits_before=10**9
         ):
-            failpoints.fire("wal.before_fsync")
-            failpoints.fire("wal.before_fsync")
-            failpoints.fire("checkpoint.before_truncate")
-            assert failpoints.hit_count("wal.before_fsync") == 2
-            assert failpoints.hit_count("checkpoint.before_truncate") == 1
-        failpoints.reset()
-        assert failpoints.hit_count("wal.before_fsync") == 0
+            faults.fire("wal.before_fsync")
+            faults.fire("wal.before_fsync")
+            faults.fire("checkpoint.before_truncate")
+            assert faults.hits() == {
+                "wal.before_fsync": 2, "checkpoint.before_truncate": 1,
+            }
+        faults.reset()
+        assert faults.hits() == {}
 
     def test_fire_rejects_unknown_name_while_armed(self):
         """A renamed call site must not silently detach its tests: any
         armed run surfaces the unregistered name immediately."""
-        with failpoints.active(
-            "wal.before_fsync", mode="raise", hits_before=10**9
+        with faults.inject(
+            "wal.before_fsync", "raise", hits_before=10**9
         ):
-            with pytest.raises(ValueError, match="unregistered failpoint"):
-                failpoints.fire("wal.renamed_typo_site")
+            with pytest.raises(ValueError, match="unregistered fault site"):
+                faults.fire("wal.renamed_typo_site")
 
     def test_fire_unknown_name_noop_when_nothing_armed(self):
         # The inactive fast path stays a single dict check; validation
-        # only runs while some failpoint is armed (i.e. under test).
-        failpoints.fire("wal.renamed_typo_site")
+        # only runs while some fault is armed (i.e. under test).
+        faults.fire("wal.renamed_typo_site")
+
 
 class TestReplicationSites:
     def test_replication_failpoints_are_registered(self):
@@ -127,22 +182,22 @@ class TestReplicationSites:
             "repl.transport.delay",
             "repl.transport.reorder",
         ):
-            assert name in KNOWN_FAILPOINTS
+            assert faults.SITES[name] == ("raise", "crash")
 
     def test_hit_counts_snapshot(self):
-        failpoints.reset()
-        with failpoints.active(
-            "repl.ship_record", mode="raise", hits_before=10**9
+        faults.reset()
+        with faults.inject(
+            "repl.ship_record", "raise", hits_before=10**9
         ):
-            failpoints.fire("repl.ship_record")
-            failpoints.fire("repl.apply_record")
-            counts = failpoints.hit_counts()
+            faults.fire("repl.ship_record")
+            faults.fire("repl.apply_record")
+            counts = faults.hits()
         assert counts["repl.ship_record"] == 1
         assert counts["repl.apply_record"] == 1
         # The snapshot is detached from live state.
         counts["repl.ship_record"] = 999
-        failpoints.reset()
-        assert failpoints.hit_counts() == {}
+        faults.reset()
+        assert faults.hits() == {}
 
 
 class TestThreadSafety:
@@ -152,17 +207,17 @@ class TestThreadSafety:
     def test_concurrent_fires_count_exactly(self):
         import threading
 
-        failpoints.reset()
+        faults.reset()
         n_threads, per_thread = 8, 500
         start = threading.Barrier(n_threads)
 
         def worker():
             start.wait()
             for _ in range(per_thread):
-                failpoints.fire("repl.apply_record")
+                faults.fire("repl.apply_record")
 
-        with failpoints.active(
-            "repl.apply_record", mode="raise", hits_before=10**9
+        with faults.inject(
+            "repl.apply_record", "raise", hits_before=10**9
         ):
             threads = [
                 threading.Thread(target=worker) for _ in range(n_threads)
@@ -171,14 +226,14 @@ class TestThreadSafety:
                 t.start()
             for t in threads:
                 t.join()
-            assert failpoints.hit_count("repl.apply_record") == (
+            assert faults.hits()["repl.apply_record"] == (
                 n_threads * per_thread
             )
 
     def test_concurrent_hits_before_fires_exactly_once_each_window(self):
         import threading
 
-        failpoints.reset()
+        faults.reset()
         n_threads, per_thread = 8, 200
         total = n_threads * per_thread
         errors = []
@@ -188,12 +243,12 @@ class TestThreadSafety:
             start.wait()
             for _ in range(per_thread):
                 try:
-                    failpoints.fire("repl.ship_record")
-                except FailpointError:
+                    faults.fire("repl.ship_record")
+                except FaultError:
                     errors.append(1)
 
-        with failpoints.active(
-            "repl.ship_record", mode="raise", hits_before=total // 2
+        with faults.inject(
+            "repl.ship_record", "raise", hits_before=total // 2
         ) as state:
             threads = [
                 threading.Thread(target=worker) for _ in range(n_threads)
@@ -209,14 +264,14 @@ class TestThreadSafety:
     def test_concurrent_arm_disarm_with_firing_threads(self):
         import threading
 
-        failpoints.reset()
+        faults.reset()
         stop = threading.Event()
 
         def firer():
             while not stop.is_set():
                 try:
-                    failpoints.fire("repl.health_check")
-                except FailpointError:
+                    faults.fire("repl.health_check")
+                except FaultError:
                     pass
 
         threads = [threading.Thread(target=firer) for _ in range(4)]
@@ -224,10 +279,10 @@ class TestThreadSafety:
             t.start()
         try:
             for _ in range(50):
-                with failpoints.active("repl.health_check", mode="raise"):
+                with faults.inject("repl.health_check", "raise"):
                     pass
         finally:
             stop.set()
             for t in threads:
                 t.join()
-        assert failpoints.armed() == ()
+        assert faults.armed() == {}

@@ -23,7 +23,7 @@ from repro.core.wal import (
     replay_wal,
 )
 from repro.replication import InProcessTransport, Primary, Replica
-from repro.testing import FailpointError, SimulatedCrash, failpoints
+from repro.testing import FaultError, SimulatedCrash, faults
 
 CFG = TreeConfig(leaf_capacity=16, internal_capacity=16)
 
@@ -115,13 +115,13 @@ class TestGroupFailureSemantics:
     def test_injected_fsync_error_fails_batch_but_wal_survives(
         self, tmp_path
     ):
-        """A recoverable flush failure (mode="raise") must fail every
+        """A recoverable flush failure ("raise") must fail every
         ticket of that batch — nobody gets acked off a failed fsync —
         while the flusher keeps serving later batches."""
         wal = WriteAheadLog(tmp_path, fsync="group")
-        with failpoints.active("wal.group.pre_fsync", mode="raise"):
+        with faults.inject("wal.group.pre_fsync", "raise"):
             ticket = wal.submit_insert(1, 1)
-            with pytest.raises(FailpointError):
+            with pytest.raises(FaultError):
                 ticket.wait(5)
         # Same WAL, next batch: works and is durable.
         wal.log_insert(2, 2)
@@ -133,7 +133,7 @@ class TestGroupFailureSemantics:
         self, tmp_path
     ):
         wal = WriteAheadLog(tmp_path, fsync="group")
-        with failpoints.active("wal.group.pre_fsync", mode="crash"):
+        with faults.inject("wal.group.pre_fsync", "crash"):
             ticket = wal.submit_insert(1, 1)
             with pytest.raises(SimulatedCrash):
                 ticket.wait(5)
@@ -147,7 +147,7 @@ class TestGroupFailureSemantics:
         the bytes: recovery replays the batch (inflight is allowed to
         surface, never required)."""
         wal = WriteAheadLog(tmp_path, fsync="group")
-        with failpoints.active("wal.group.ack", mode="crash"):
+        with faults.inject("wal.group.ack", "crash"):
             ticket = wal.submit_insert(7, 70)
             with pytest.raises(SimulatedCrash):
                 ticket.wait(5)

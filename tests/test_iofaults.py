@@ -2,7 +2,8 @@
 property it exists to prove.
 
 The property (mirrors ISSUE acceptance): for **every** registered
-``io.*`` site crossed with **every** fault kind, a DurableTree must
+``io.*`` site crossed with **every** disk fault kind (the ``crash``
+kind is swept by tests/test_crash_recovery_property.py), a DurableTree must
 either recover transparently (retry/backoff), degrade to read-only but
 keep serving reads, or quarantine-and-repair — and in all cases it must
 never lose an acknowledged write and never leak a raw ``OSError``.
@@ -15,68 +16,61 @@ import pytest
 from repro.core import BPlusTree, DurableTree, HealthState, ReadOnlyError
 from repro.core.persist import PersistenceError
 from repro.core.wal import WALError
-from repro.testing import iofaults
-from repro.testing.iofaults import IOFaultConfigError
+from repro.testing import faults
 
 #: Sites that fire on the write path (live appends / checkpoint) vs.
 #: the read path (recovery / verification).
-WRITE_SITES = (
-    "io.wal.write",
-    "io.wal.fsync",
-    "io.snapshot.write",
-    "io.snapshot.fsync",
-    "io.snapshot.replace",
-)
-READ_SITES = ("io.wal.read", "io.snapshot.read")
+WRITE_SITES = faults.IO_WRITE_SITES
+READ_SITES = faults.IO_READ_SITES
 
 
 class TestShim:
     def test_unknown_site_rejected(self):
-        with pytest.raises(IOFaultConfigError):
-            iofaults.arm("io.nope", "eio")
+        with pytest.raises(ValueError, match="unknown fault site"):
+            faults.arm("io.nope", "eio")
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(IOFaultConfigError):
-            iofaults.arm("io.wal.write", "gremlins")
+        with pytest.raises(ValueError, match="not permitted"):
+            faults.arm("io.wal.write", "gremlins")
 
     def test_site_split_covers_the_registry(self):
         assert sorted(WRITE_SITES + READ_SITES) == sorted(
-            iofaults.KNOWN_IO_SITES
+            site for site in faults.SITES if site.startswith("io.")
         )
 
     def test_passthrough_when_disarmed(self, tmp_path):
         path = tmp_path / "f"
         with open(path, "wb") as fh:
-            assert iofaults.write("io.wal.write", fh, b"hello") == 5
-            iofaults.fsync("io.wal.fsync", fh)
-        assert iofaults.read_bytes("io.wal.read", path) == b"hello"
-        assert iofaults.injected_total() == 0
+            assert faults.write("io.wal.write", fh, b"hello") == 5
+            faults.fsync("io.wal.fsync", fh)
+        assert faults.read_bytes("io.wal.read", path) == b"hello"
+        assert faults.counts() == {}
 
     def test_eio_raises_and_counts(self, tmp_path):
         path = tmp_path / "f"
         path.write_bytes(b"x")
-        with iofaults.inject("io.wal.read", "eio"):
+        with faults.inject("io.wal.read", "eio"):
             with pytest.raises(OSError):
-                iofaults.read_bytes("io.wal.read", path)
-        assert iofaults.injected_counts() == {("io.wal.read", "eio"): 1}
+                faults.read_bytes("io.wal.read", path)
+        assert faults.counts() == {("io.wal.read", "eio"): 1}
         # Context manager disarmed on exit.
-        assert iofaults.read_bytes("io.wal.read", path) == b"x"
+        assert faults.read_bytes("io.wal.read", path) == b"x"
 
     def test_torn_write_persists_a_prefix_then_raises(self, tmp_path):
         path = tmp_path / "f"
-        with iofaults.inject("io.wal.write", "torn"):
+        with faults.inject("io.wal.write", "torn"):
             with open(path, "wb") as fh:
                 with pytest.raises(OSError):
-                    iofaults.write("io.wal.write", fh, b"0123456789")
+                    faults.write("io.wal.write", fh, b"0123456789")
         data = path.read_bytes()
         assert 0 < len(data) < 10  # a prefix hit the disk
 
     def test_bitrot_write_succeeds_with_a_flipped_byte(self, tmp_path):
         path = tmp_path / "f"
         payload = b"0123456789"
-        with iofaults.inject("io.wal.write", "bitrot"):
+        with faults.inject("io.wal.write", "bitrot"):
             with open(path, "wb") as fh:
-                assert iofaults.write("io.wal.write", fh, payload) == 10
+                assert faults.write("io.wal.write", fh, payload) == 10
         data = path.read_bytes()
         assert len(data) == 10 and data != payload
         assert sum(a != b for a, b in zip(data, payload)) == 1
@@ -86,46 +80,46 @@ class TestShim:
         with open(path, "wb") as fh:
             fh.write(b"0123456789")
             fh.flush()
-            with iofaults.inject("io.wal.fsync", "bitrot"):
-                iofaults.fsync("io.wal.fsync", fh)
+            with faults.inject("io.wal.fsync", "bitrot"):
+                faults.fsync("io.wal.fsync", fh)
         assert path.read_bytes() != b"0123456789"
 
     def test_failed_replace_leaves_src_in_place(self, tmp_path):
         src, dst = tmp_path / "src", tmp_path / "dst"
         src.write_bytes(b"payload")
-        with iofaults.inject("io.snapshot.replace", "enospc"):
+        with faults.inject("io.snapshot.replace", "enospc"):
             with pytest.raises(OSError):
-                iofaults.replace("io.snapshot.replace", src, dst)
+                faults.replace("io.snapshot.replace", src, dst)
         assert src.exists() and not dst.exists()
 
     def test_torn_read_returns_a_prefix(self, tmp_path):
         path = tmp_path / "f"
         path.write_bytes(b"0123456789")
-        with iofaults.inject("io.wal.read", "torn"):
-            assert iofaults.read_bytes("io.wal.read", path) == b"01234"
+        with faults.inject("io.wal.read", "torn"):
+            assert faults.read_bytes("io.wal.read", path) == b"01234"
 
     def test_hits_before_and_times_discipline(self, tmp_path):
         path = tmp_path / "f"
         path.write_bytes(b"x")
-        iofaults.arm("io.wal.read", "eio", hits_before=2, times=1)
-        assert iofaults.read_bytes("io.wal.read", path) == b"x"
-        assert iofaults.read_bytes("io.wal.read", path) == b"x"
+        faults.arm("io.wal.read", "eio", hits_before=2, times=1)
+        assert faults.read_bytes("io.wal.read", path) == b"x"
+        assert faults.read_bytes("io.wal.read", path) == b"x"
         with pytest.raises(OSError):
-            iofaults.read_bytes("io.wal.read", path)
-        assert iofaults.read_bytes("io.wal.read", path) == b"x"
-        assert iofaults.injected_total() == 1
+            faults.read_bytes("io.wal.read", path)
+        assert faults.read_bytes("io.wal.read", path) == b"x"
+        assert faults.counts() == {("io.wal.read", "eio"): 1}
 
     def test_probability_is_seeded_and_reproducible(self, tmp_path):
         path = tmp_path / "f"
         path.write_bytes(b"x")
 
         def run():
-            iofaults.reset()
-            iofaults.arm("io.wal.read", "eio", probability=0.5, seed=99)
+            faults.reset()
+            faults.arm("io.wal.read", "eio", probability=0.5, seed=99)
             outcomes = []
             for _ in range(20):
                 try:
-                    iofaults.read_bytes("io.wal.read", path)
+                    faults.read_bytes("io.wal.read", path)
                     outcomes.append(False)
                 except OSError:
                     outcomes.append(True)
@@ -136,14 +130,14 @@ class TestShim:
         assert any(first) and not all(first)
 
     def test_armed_and_reset(self):
-        iofaults.arm("io.wal.write", "eio")
-        iofaults.arm("io.wal.fsync", "torn")
-        assert iofaults.armed() == {
+        faults.arm("io.wal.write", "eio")
+        faults.arm("io.wal.fsync", "torn")
+        assert faults.armed() == {
             "io.wal.write": "eio", "io.wal.fsync": "torn",
         }
-        iofaults.reset()
-        assert iofaults.armed() == {}
-        assert iofaults.injected_total() == 0
+        faults.reset()
+        assert faults.armed() == {}
+        assert faults.counts() == {}
 
 
 def make_tree(directory):
@@ -155,7 +149,7 @@ def make_tree(directory):
 class TestSurvivabilityProperty:
     """Every site x every kind: never a raw OSError, never a lost ack."""
 
-    @pytest.mark.parametrize("kind", iofaults.KNOWN_KINDS)
+    @pytest.mark.parametrize("kind", faults.DISK_KINDS)
     @pytest.mark.parametrize("site", WRITE_SITES)
     def test_write_site_bounded_fault_heals(self, tmp_path, site, kind):
         """A bounded burst mid-traffic: operate through it, heal with a
@@ -165,7 +159,7 @@ class TestSurvivabilityProperty:
         for i in range(30):
             tree.insert(i, i)
             acked[i] = i
-        iofaults.arm(site, kind, times=3)
+        faults.arm(site, kind, times=3)
         try:
             for i in range(30, 60):
                 try:
@@ -178,7 +172,7 @@ class TestSurvivabilityProperty:
             except ReadOnlyError:
                 pass
         finally:
-            iofaults.disarm(site)
+            faults.disarm(site)
         # Reads always serve the acked history, whatever the health.
         for key, value in acked.items():
             assert tree.get(key) == value
@@ -204,7 +198,7 @@ class TestSurvivabilityProperty:
         tree = make_tree(tmp_path)
         for i in range(20):
             tree.insert(i, i)
-        iofaults.arm(site, "eio")
+        faults.arm(site, "eio")
         try:
             with pytest.raises(ReadOnlyError):
                 for i in range(20, 40):
@@ -219,7 +213,7 @@ class TestSurvivabilityProperty:
             with pytest.raises(ReadOnlyError):
                 tree.insert_many([(91, 1)])
         finally:
-            iofaults.disarm(site)
+            faults.disarm(site)
         # Operator freed the disk: a checkpoint restores writability.
         tree.checkpoint()
         assert tree.health.state is HealthState.HEALTHY
@@ -236,7 +230,7 @@ class TestSurvivabilityProperty:
             BPlusTree(), tmp_path, fsync="group", segment_bytes=512
         )
         tree.insert(1, 1)
-        iofaults.arm("io.wal.fsync", "enospc")
+        faults.arm("io.wal.fsync", "enospc")
         try:
             tickets = [tree.submit_insert(10 + i, i) for i in range(5)]
             failures = 0
@@ -250,12 +244,12 @@ class TestSurvivabilityProperty:
             with pytest.raises(ReadOnlyError):
                 tree.submit_insert(99, 99)
         finally:
-            iofaults.disarm("io.wal.fsync")
+            faults.disarm("io.wal.fsync")
         tree.checkpoint()
         tree.submit_insert(99, 99).wait(10)
         tree.close()
 
-    @pytest.mark.parametrize("kind", iofaults.KNOWN_KINDS)
+    @pytest.mark.parametrize("kind", faults.DISK_KINDS)
     @pytest.mark.parametrize("site", READ_SITES)
     def test_read_site_faults_never_leak_oserror(
         self, tmp_path, site, kind
@@ -273,7 +267,7 @@ class TestSurvivabilityProperty:
             tree.insert(i, i)
             acked[i] = i
         tree.close()
-        iofaults.arm(site, kind, times=2)
+        faults.arm(site, kind, times=2)
         try:
             try:
                 recovered, report = DurableTree.recover(
@@ -289,7 +283,7 @@ class TestSurvivabilityProperty:
                 assert dict(recovered.items()) == acked
                 recovered.close()
         finally:
-            iofaults.disarm(site)
+            faults.disarm(site)
         # The medium itself was never damaged: a clean recovery now
         # serves everything.
         recovered, report = DurableTree.recover(tmp_path, BPlusTree)
@@ -299,11 +293,11 @@ class TestSurvivabilityProperty:
 
     def test_stats_mirror_health_counters(self, tmp_path):
         tree = make_tree(tmp_path)
-        iofaults.arm("io.wal.write", "eio", times=2)
+        faults.arm("io.wal.write", "eio", times=2)
         try:
             tree.insert(1, 1)
         finally:
-            iofaults.disarm("io.wal.write")
+            faults.disarm("io.wal.write")
         stats = tree.stats
         assert stats.health_retries >= 1
         assert stats.health_degradations >= 1

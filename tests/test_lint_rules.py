@@ -82,29 +82,39 @@ def test_unguarded_write_detected():
 
 
 # ---------------------------------------------------------------------------
-# failpoint-parity
+# fault-parity
 # ---------------------------------------------------------------------------
 
 
-def test_failpoint_parity_both_directions_and_non_literal():
-    findings = run("failpoint-parity", "failpoints.py", "caller.py")
-    unregistered = [f for f in findings if "io.unregistered" in f.message]
-    never_fired = [f for f in findings if "io.never_fired" in f.message]
-    non_literal = [f for f in findings if "not a string literal" in f.message]
-    assert len(unregistered) == 1
-    assert unregistered[0].path.endswith("caller.py")
-    assert unregistered[0].line == 10
-    assert len(never_fired) == 1
-    assert never_fired[0].path.endswith("failpoints.py")
-    assert never_fired[0].line == 7  # registry entry line
-    assert len(non_literal) == 1
-    assert non_literal[0].line == 11
-    assert len(findings) == 3
+def test_fault_parity_finds_each_drift_once():
+    findings = run("fault-parity", "faults.py", "caller.py")
+    by_line = {}
+    for f in findings:
+        by_line.setdefault((Path(f.path).name, f.line), []).append(f.message)
+    expected = {
+        ("caller.py", 12): "wal.unregistered",  # unregistered fire site
+        ("caller.py", 13): "io.unregistered",  # unregistered shim site
+        ("faults.py", 7): "wal.never_fired",  # control site never fired
+        ("faults.py", 11): "io.never_shimmed",  # io site never shimmed
+        ("caller.py", 14): "not a string literal",  # non-literal name
+        ("caller.py", 15): "io.ok.read",  # fire on an io-only site
+        ("caller.py", 16): "wal.ok",  # shim on a control site
+    }
+    assert sorted(by_line) == sorted(expected)
+    for where, needle in expected.items():
+        (message,) = by_line[where]
+        assert needle in message, (where, message)
+    assert "not registered" in by_line[("caller.py", 12)][0]
+    assert "not registered" in by_line[("caller.py", 13)][0]
+    assert "faults.fire()" in by_line[("faults.py", 7)][0]
+    assert "I/O shim" in by_line[("faults.py", 11)][0]
+    assert "its kinds need a faults I/O shim" in by_line[("caller.py", 15)][0]
+    assert "its kinds need faults.fire()" in by_line[("caller.py", 16)][0]
 
 
-def test_failpoint_parity_skips_without_registry():
+def test_fault_parity_skips_without_registry():
     # No registry in scope -> nothing to compare against.
-    assert run("failpoint-parity", "caller.py") == []
+    assert run("fault-parity", "caller.py") == []
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,25 @@ class TestTypedRefusals:
             c.close()
         durable.close()
 
+    def test_admin_arms_only_disk_faults(self, served):
+        """The wire admin reaches io.* disk faults and nothing else: a
+        crash (a BaseException in the serving process) and a
+        control-flow site are both refused, and serving goes on."""
+        from repro.net import RequestError
+        from repro.testing import faults
+        durable, bg, c = served
+        with pytest.raises(RequestError):
+            c.admin("iofault_arm", "io.wal.write", "crash", {})
+        with pytest.raises(RequestError):
+            c.admin("iofault_arm", "wal.before_fsync", "raise", {})
+        assert faults.armed() == {}
+        c.admin("iofault_arm", "io.wal.write", "eio", {"times": 1})
+        assert faults.armed() == {"io.wal.write": "eio"}
+        c.insert(1, "one")  # the retry loop absorbs the one EIO
+        c.admin("iofault_disarm", "io.wal.write")
+        assert faults.counts() == {("io.wal.write", "eio"): 1}
+        assert c.get(1) == "one"
+
 
 class TestPrimaryBackend:
     def _cluster(self, tmp_path, *, required_acks=1, ack_deadline=None):

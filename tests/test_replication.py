@@ -23,7 +23,7 @@ from repro.replication import (
     TransportChaos,
     read_epoch,
 )
-from repro.testing import FailpointError, SimulatedCrash, failpoints
+from repro.testing import FaultError, SimulatedCrash, faults
 
 CONFIG = TreeConfig(leaf_capacity=8, internal_capacity=8)
 
@@ -413,8 +413,8 @@ class TestReplicationFailpoints:
         primary = make_primary(tmp_path)
         replica = make_replica(tmp_path, primary)
         primary.insert(1, 1)
-        with failpoints.active("repl.ship_record", mode="raise"):
-            with pytest.raises(FailpointError):
+        with faults.inject("repl.ship_record", "raise"):
+            with pytest.raises(FaultError):
                 replica.poll()
         replica.catch_up(primary.tail_position())
         assert replica.get(1) == 1
@@ -425,8 +425,8 @@ class TestReplicationFailpoints:
             tmp_path / "r", InProcessTransport(primary),
             tree_class=QuITTree, config=CONFIG,
         )
-        with failpoints.active("repl.snapshot_fetch", mode="raise"):
-            with pytest.raises(FailpointError):
+        with faults.inject("repl.snapshot_fetch", "raise"):
+            with pytest.raises(FaultError):
                 replica.bootstrap()
         replica.bootstrap()
         assert replica.state is ReplicaState.FOLLOWING
@@ -435,7 +435,7 @@ class TestReplicationFailpoints:
         primary = make_primary(tmp_path)
         replica = make_replica(tmp_path, primary)
         primary.insert(1, 1)
-        with failpoints.active("repl.apply_record", mode="crash"):
+        with faults.inject("repl.apply_record", "crash"):
             with pytest.raises(SimulatedCrash):
                 replica.poll()
         # The "crashed" replica restarts from its own disk.
@@ -447,10 +447,10 @@ class TestReplicationFailpoints:
     def test_transport_drop_failpoint(self, tmp_path):
         primary = make_primary(tmp_path)
         replica = make_replica(tmp_path, primary)
-        with failpoints.active("repl.transport.drop", mode="raise"):
-            with pytest.raises(FailpointError):
+        with faults.inject("repl.transport.drop", "raise"):
+            with pytest.raises(FaultError):
                 replica.poll()
-        assert failpoints.hit_count("repl.transport.drop") == 1
+        assert faults.hits()["repl.transport.drop"] == 1
 
     def test_promote_failpoint_aborts_failover(self, tmp_path):
         registry = EpochRegistry()
@@ -461,6 +461,6 @@ class TestReplicationFailpoints:
             transport_factory=InProcessTransport, failure_threshold=1,
         )
         primary.kill()
-        with failpoints.active("repl.promote", mode="raise"):
-            with pytest.raises(FailpointError):
+        with faults.inject("repl.promote", "raise"):
+            with pytest.raises(FaultError):
                 coord.tick()

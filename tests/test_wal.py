@@ -19,7 +19,7 @@ from repro.core.wal import (
     replay_wal,
     segment_paths,
 )
-from repro.testing import FailpointError, failpoints
+from repro.testing import FaultError, faults
 
 
 @pytest.fixture
@@ -356,8 +356,8 @@ class TestWALFailpoints:
     def test_raise_mode_surfaces_and_log_stays_consistent(self, wal_dir):
         wal = WriteAheadLog(wal_dir)
         wal.log_insert(1, "a")
-        with failpoints.active("wal.before_fsync", mode="raise"):
-            with pytest.raises(FailpointError):
+        with faults.inject("wal.before_fsync", "raise"):
+            with pytest.raises(FaultError):
                 wal.log_insert(2, "b")
         wal.log_insert(3, "c")
         wal.close()
@@ -371,7 +371,7 @@ class TestWALFailpoints:
 
         wal = WriteAheadLog(wal_dir)
         wal.log_insert(1, "a")
-        with failpoints.active("wal.before_append", mode="crash"):
+        with faults.inject("wal.before_append", "crash"):
             with pytest.raises(SimulatedCrash):
                 wal.log_insert(2, "b")
         res = replay_wal(wal_dir)
