@@ -9,12 +9,14 @@ Two parts:
   L=5%): batched ingest into the classical B+-tree must be at least 3x
   faster than per-key ingest.  The classical tree is the honest subject
   for the ratio — its per-key path has no fast-path shortcut, so the
-  comparison isolates what batching buys.  ``BENCH_PR1.json`` (repo
-  root) records the same measurement for the full matrix via
-  ``python -m repro.bench.regress --out BENCH_PR1.json``.
+  comparison isolates what batching buys.  ``BENCH_HISTORY.json`` (repo
+  root) records the same measurement for the full matrix in its row
+  from commit ``4bc065e``.
 """
 
 from __future__ import annotations
+
+import statistics
 
 import pytest
 
@@ -23,7 +25,7 @@ from repro.sortedness.bods import generate_keys
 
 INDEXES = ("B+-tree", "tail-B+-tree", "lil-B+-tree", "QuIT", "SWARE")
 
-#: Chunk size used throughout; matches the regress default.
+#: Chunk size used throughout; the one the recorded history used.
 BATCH_SIZE = 4096
 
 
@@ -66,26 +68,34 @@ def test_batched_beats_per_key_3x():
     """Acceptance gate: >=3x batched throughput on the classical B+-tree
     for the K=5%, L=5% BoDS stream at default scale.
 
-    Measured best-of-5 on both sides to suppress scheduler jitter; the
-    committed BENCH_PR1.json records ~5x for this cell, so 3x leaves
+    Five pairs, each timing one per-key and one batched build; the side
+    that runs first alternates between pairs, so a host-speed change
+    inside the run moves both sides instead of one.  The gate is on the
+    median of the per-pair ratios.  The row from commit ``4bc065e`` in
+    ``BENCH_HISTORY.json`` records ~5x for this cell, so 3x leaves
     generous headroom without making the gate vacuous.
     """
     scale = BenchScale.default()
     keys = [
         int(k) for k in generate_keys(scale.n, 0.05, 0.05, seed=scale.seed)
     ]
-    repeats = 5
-    per_key = min(
-        ingest(make_tree("B+-tree", scale), keys) for _ in range(repeats)
-    )
-    batched = min(
-        ingest_batched(make_tree("B+-tree", scale), keys, BATCH_SIZE)
-        for _ in range(repeats)
-    )
-    speedup = per_key / batched
+    ratios = []
+    for rep in range(5):
+        order = ("per-key", "batched") if rep % 2 == 0 else (
+            "batched", "per-key"
+        )
+        seconds = {}
+        for side in order:
+            tree = make_tree("B+-tree", scale)
+            if side == "per-key":
+                seconds[side] = ingest(tree, keys)
+            else:
+                seconds[side] = ingest_batched(tree, keys, BATCH_SIZE)
+        ratios.append(seconds["per-key"] / seconds["batched"])
+    speedup = statistics.median(ratios)
     assert speedup >= 3.0, (
         f"batched ingest speedup degraded: {speedup:.2f}x "
-        f"(per-key {per_key:.3f}s, batched {batched:.3f}s)"
+        f"(per-pair ratios {[round(r, 2) for r in ratios]})"
     )
 
 

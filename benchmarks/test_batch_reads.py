@@ -12,14 +12,14 @@ Two parts, mirroring ``test_batch_ingest.py``:
   The classical tree is the honest subject for the ratio — its per-key
   path has no fast-path read shortcut, so the comparison isolates what
   probe sorting and leaf-chain draining buy.
-  ``BENCH_PR2.json`` (repo root) records the same measurement for the
-  full matrix via ``python -m repro.bench.regress --mode reads --out
-  BENCH_PR2.json``.
+  ``BENCH_HISTORY.json`` (repo root) records the same measurement for
+  the full matrix in its row from commit ``932da59``.
 """
 
 from __future__ import annotations
 
 import random
+import statistics
 
 import pytest
 
@@ -34,7 +34,7 @@ from repro.sortedness.bods import generate_keys
 
 INDEXES = ("B+-tree", "tail-B+-tree", "lil-B+-tree", "QuIT", "SWARE")
 
-#: Probe chunk size; matches the regress ``--read-batch-size`` default.
+#: Probe chunk size; the one the recorded history used.
 READ_BATCH_SIZE = 4096
 
 
@@ -48,8 +48,7 @@ def bods_keys(scale):
 
 @pytest.fixture(scope="module")
 def probe_targets(bods_keys):
-    """Full-coverage probe set replaying the BoDS arrival order — the
-    same near-sorted stream the regress reads mode times."""
+    """Full-coverage probe set replaying the BoDS arrival order."""
     return list(bods_keys)
 
 
@@ -93,10 +92,13 @@ def test_batched_reads(benchmark, scale, bods_keys, probe_targets, name):
 
 def test_batched_beats_per_key_2x():
     """Acceptance gate: >=2x batched read throughput on the classical
-    B+-tree for a shuffled full-coverage probe set at default scale.
+    B+-tree for a full-coverage probe set at default scale.
 
-    Measured best-of-5 on both sides to suppress scheduler jitter; the
-    committed BENCH_PR2.json records ~3.4x for this cell, so 2x leaves
+    Five pairs, each timing one per-key and one batched pass; the side
+    that runs first alternates between pairs, so a host-speed change
+    inside the run moves both sides instead of one.  The gate is on the
+    median of the per-pair ratios.  The row from commit ``932da59`` in
+    ``BENCH_HISTORY.json`` records ~3.4x for this cell, so 2x leaves
     headroom without making the gate vacuous.
     """
     scale = BenchScale.default()
@@ -105,14 +107,24 @@ def test_batched_beats_per_key_2x():
     ]
     tree = _build("B+-tree", scale, keys)
     targets = list(keys)
-    per_key = time_point_lookups(tree, targets, repeats=5)
-    batched = time_point_lookups_batched(
-        tree, targets, READ_BATCH_SIZE, repeats=5
-    )
-    speedup = per_key / batched
+    ratios = []
+    for rep in range(5):
+        order = ("per-key", "batched") if rep % 2 == 0 else (
+            "batched", "per-key"
+        )
+        seconds = {}
+        for side in order:
+            if side == "per-key":
+                seconds[side] = time_point_lookups(tree, targets, repeats=1)
+            else:
+                seconds[side] = time_point_lookups_batched(
+                    tree, targets, READ_BATCH_SIZE, repeats=1
+                )
+        ratios.append(seconds["per-key"] / seconds["batched"])
+    speedup = statistics.median(ratios)
     assert speedup >= 2.0, (
         f"batched read speedup degraded: {speedup:.2f}x "
-        f"(per-key {per_key:.3f}s, batched {batched:.3f}s)"
+        f"(per-pair ratios {[round(r, 2) for r in ratios]})"
     )
 
 

@@ -1,8 +1,9 @@
 """Group-commit gate: pipelined durable ingest must beat per-op fsync.
 
-CI smoke for the PR 7 tentpole (full-scale numbers live in
-BENCH_PR7.json, produced by ``quit-regress --mode durability``): with 8
-writers submitting per-key durable inserts, ``fsync="group"`` must
+The full-scale numbers are the row from commit ``527307f`` in
+``BENCH_HISTORY.json``.  With 8 writers submitting per-key durable
+inserts through :func:`repro.bench.harness.durable_ingest`,
+``fsync="group"`` must
 out-ingest ``fsync="always"`` — the batched fsync amortization is the
 whole point, so losing this race means the pipeline regressed.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.regress import _durable_ingest_once
+from repro.bench.harness import durable_ingest
 from repro.sortedness import generate_keys
 
 WRITERS = 8
@@ -24,10 +25,7 @@ def bench_keys(scale):
 
 
 def _run(policy, keys, scale):
-    seconds, wal_stats = _durable_ingest_once(
-        policy, keys, WRITERS, 1, scale
-    )
-    return seconds, wal_stats
+    return durable_ingest(policy, keys, WRITERS, 1, scale)
 
 
 @pytest.mark.parametrize("policy", ["always", "group"])

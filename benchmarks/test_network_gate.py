@@ -1,20 +1,22 @@
 """Network-ingest gate: the loopback-served pipelined path must stay
 within a fixed factor of the in-process ``submit_many`` baseline.
 
-CI smoke for the PR 9 satellite (full-scale numbers live in
-BENCH_PR9.json, produced by ``quit-regress --mode network``): the wire
-adds framing, the asyncio hop, and admission — a bounded tax, measured
-at ~2.5x at full scale.  The gate bounds it at :data:`MAX_FACTOR` so a
-regression in the server's request path (a lost pipelining window, an
-accidental per-frame fsync, a serialization blow-up) fails loudly
-rather than shipping as "the network is just slow".
+Both sides are timed by :mod:`repro.bench.harness`: ``network_ingest``
+against ``durable_ingest`` with ``fsync="group"``.  The full-scale
+numbers are the row from commit ``d7e39de`` in ``BENCH_HISTORY.json``.
+The wire adds framing, the asyncio hop, and admission — a bounded tax,
+measured at ~2.5x at full scale.  The gate bounds it at
+:data:`MAX_FACTOR` so a regression in the server's request path (a lost
+pipelining window, an accidental per-frame fsync, a serialization
+blow-up) fails loudly rather than shipping as "the network is just
+slow".
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.regress import _durable_ingest_once, _network_ingest_once
+from repro.bench.harness import durable_ingest, network_ingest
 from repro.sortedness import generate_keys
 
 N = 4_000
@@ -35,7 +37,7 @@ def bench_keys(scale):
 
 def test_pipelined_network_ingest_benchmark(benchmark, scale, bench_keys):
     def run():
-        return _network_ingest_once(bench_keys, 1, BATCH, WINDOW, scale)
+        return network_ingest(bench_keys, 1, BATCH, WINDOW, scale)
 
     seconds, stats = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["ingest_seconds"] = round(seconds, 4)
@@ -56,11 +58,11 @@ def test_network_within_factor_of_inprocess(scale, bench_keys):
         )
         for side in order:
             if side == "inprocess":
-                seconds, _ = _durable_ingest_once(
+                seconds, _ = durable_ingest(
                     "group", bench_keys, 1, BATCH, scale
                 )
             else:
-                seconds, _ = _network_ingest_once(
+                seconds, _ = network_ingest(
                     bench_keys, 1, BATCH, WINDOW, scale
                 )
             best[side] = min(best[side], seconds)

@@ -1,4 +1,4 @@
-"""``quit-durability`` — operate and benchmark the crash-safety layer.
+"""``quit-durability`` — operate the crash-safety layer.
 
 Subcommands over a durability directory (``snapshot.quit`` +
 ``wal/wal-*.seg``, as written by :class:`repro.core.DurableTree`):
@@ -10,8 +10,6 @@ Subcommands over a durability directory (``snapshot.quit`` +
   found and repaired, 0 when clean);
 * ``scrub DIR`` — recover without the implicit scrub, then audit the
   fast-path metadata explicitly and print what was repaired;
-* ``bench`` — end-to-end recovery-time numbers: ingest *n* entries,
-  checkpoint, append *m* more WAL ops, then time a cold recovery;
 * ``replicate DIR`` — serve DIR as a replication primary with *k*
   in-process replicas, ingest a demo workload, and report each
   replica's applied position (``--serve`` keeps running until
@@ -30,7 +28,6 @@ directory instead of a replay-heavy one (exit status 0).
 
 Examples::
 
-    quit-durability bench --n 100000 --wal-ops 10000 --variant QuIT
     quit-durability recover /var/lib/quit/state
     quit-durability replicate /var/lib/quit/state --replicas 2 --serve
 """
@@ -42,9 +39,7 @@ import os
 import shutil
 import signal
 import sys
-import tempfile
 import threading
-import time
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -67,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     """Argument parser for quit-durability."""
     parser = argparse.ArgumentParser(
         prog="quit-durability",
-        description="Checkpoint, recover, scrub, and benchmark the "
-                    "crash-safe durability layer.",
+        description="Checkpoint, recover, scrub, replicate, and verify "
+                    "the crash-safe durability layer.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -105,30 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sc.add_argument("directory", type=Path)
     add_common(sc)
-
-    bench = sub.add_parser(
-        "bench", help="measure checkpoint and recovery times"
-    )
-    bench.add_argument(
-        "--n", type=int, default=100_000,
-        help="entries in the checkpointed snapshot (default: 100000)",
-    )
-    bench.add_argument(
-        "--wal-ops", type=int, default=10_000,
-        help="single-key WAL ops appended after the checkpoint "
-             "(default: 10000)",
-    )
-    bench.add_argument(
-        "--fsync", default="none",
-        choices=("always", "group", "interval", "none"),
-        help="WAL fsync policy during the ingest phase (default: none; "
-             "'always' shows the per-op fsync tax, 'group' batches it)",
-    )
-    bench.add_argument(
-        "--directory", type=Path, default=None,
-        help="durability directory (default: a fresh temp dir)",
-    )
-    add_common(bench)
 
     rep = sub.add_parser(
         "replicate",
@@ -287,73 +258,6 @@ def cmd_scrub(args: argparse.Namespace, out) -> int:
     for violation in violations:
         print(f"  ! {violation}", file=out)
     return 0 if report.clean and not violations else 1
-
-
-def cmd_bench(args: argparse.Namespace, out) -> int:
-    tree_class = VARIANTS[args.variant]
-    config = _config(args) or TreeConfig()
-    if args.directory is not None:
-        directory = args.directory
-        cleanup = None
-    else:
-        cleanup = tempfile.TemporaryDirectory(prefix="quit-durability-")
-        directory = Path(cleanup.name)
-    try:
-        durable = DurableTree(
-            tree_class(config), directory, fsync=args.fsync
-        )
-        t0 = time.perf_counter()
-        durable.insert_many([(i, i) for i in range(args.n)])
-        t_ingest = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        durable.checkpoint()
-        t_checkpoint = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        base = args.n
-        for i in range(args.wal_ops):
-            durable.insert(base + i, i)
-        t_wal = time.perf_counter() - t0
-        durable.close()
-        wal_bytes = sum(
-            p.stat().st_size for p in segment_paths(directory / "wal")
-        )
-
-        t0 = time.perf_counter()
-        recovered, report = DurableTree.recover(
-            directory, tree_class, config
-        )
-        t_recover = time.perf_counter() - t0
-        recovered.close()
-
-        total = args.n + args.wal_ops
-        print(f"variant={args.variant} n={args.n} "
-              f"wal_ops={args.wal_ops} fsync={args.fsync}", file=out)
-        rows = [
-            ("ingest (batched, logged)",
-             t_ingest, f"{args.n / max(t_ingest, 1e-9):,.0f} entries/s"),
-            ("checkpoint (v3 snapshot)",
-             t_checkpoint,
-             f"{args.n / max(t_checkpoint, 1e-9):,.0f} entries/s"),
-            (f"WAL appends x{args.wal_ops}",
-             t_wal, f"{args.wal_ops / max(t_wal, 1e-9):,.0f} ops/s"),
-            ("recovery (snapshot+replay)",
-             t_recover, f"{total / max(t_recover, 1e-9):,.0f} entries/s"),
-        ]
-        width = max(len(label) for label, _, _ in rows)
-        for label, seconds, rate in rows:
-            print(f"  {label:<{width}}  {seconds * 1000:9.1f} ms"
-                  f"  {rate}", file=out)
-        print(f"  {'WAL size at recovery':<{width}}  "
-              f"{wal_bytes / 1024:9.1f} KiB", file=out)
-        print(f"recovered {len(recovered)} entries "
-              f"({report.records_replayed} WAL records replayed); "
-              f"clean={report.clean}", file=out)
-        return 0
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
 
 
 def _print_cluster(primary: Primary, replicas, out) -> None:
@@ -537,7 +441,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         "checkpoint": cmd_checkpoint,
         "recover": cmd_recover,
         "scrub": cmd_scrub,
-        "bench": cmd_bench,
         "replicate": cmd_replicate,
         "promote": cmd_promote,
         "status": cmd_status,

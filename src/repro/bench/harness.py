@@ -8,20 +8,30 @@ Every experiment in :mod:`repro.bench.experiments` takes a
   were produced at;
 * ``paper()`` — the paper's own N (500M keys, 510-entry leaves); provided
   for completeness, impractical in pure Python.
+
+:func:`durable_ingest` and :func:`network_ingest` time the served ingest
+path (a ``DurableTree`` in process, and the same tree behind a loopback
+``QuitServer``) for the group-commit and network gates.
 """
 
 from __future__ import annotations
 
 import gc
+import shutil
+import tempfile
+import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from ..concurrency import ConcurrentTree
 from ..core import (
     BPlusTree,
+    DurableTree,
     LilBPlusTree,
     PoleBPlusTree,
     QuITTree,
@@ -282,3 +292,155 @@ def time_range_queries(
         for lo, hi in ranges:
             rq(lo, hi)
         return time.perf_counter() - start
+
+
+#: Commit tickets a :func:`durable_ingest` writer keeps in flight before
+#: it awaits the oldest — the pipelining depth of the submit/await surface.
+INFLIGHT_WINDOW = 64
+
+
+def durable_ingest(
+    policy: str,
+    keys: list[int],
+    writers: int,
+    batch_size: int,
+    scale: BenchScale,
+) -> tuple[float, dict[str, Any]]:
+    """One timed durable-ingest run; returns ``(seconds, wal_stats)``.
+
+    ``writers`` threads share one ``DurableTree(ConcurrentTree(QuIT))``
+    and split the key stream round-robin.  Every writer uses the
+    pipelined submit/await surface: ``submit_insert`` per key
+    (``batch_size == 1``) or ``submit_many`` per chunk, keeping at most
+    :data:`INFLIGHT_WINDOW` tickets outstanding and draining them all
+    before the clock stops — no acknowledgement is left in flight.  The
+    client code is identical for every policy (non-group tickets come
+    back already resolved, so the window never fills); what varies is
+    purely who pays for which fsync.
+    """
+    directory = tempfile.mkdtemp(prefix=f"quit-durab-{policy}-")
+    try:
+        tree = DurableTree(
+            ConcurrentTree(QuITTree(scale.tree_config)),
+            directory,
+            fsync=policy,
+        )
+        shards = [keys[i::writers] for i in range(writers)]
+        errors: list[BaseException] = []
+
+        def run(shard: list[int]) -> None:
+            try:
+                pending: deque = deque()
+                if batch_size == 1:
+                    submit = tree.submit_insert
+                    for k in shard:
+                        pending.append(submit(k, k))
+                        if len(pending) > INFLIGHT_WINDOW:
+                            pending.popleft().wait(120)
+                else:
+                    for lo in range(0, len(shard), batch_size):
+                        pending.append(
+                            tree.submit_many(
+                                [(k, k) for k in shard[lo : lo + batch_size]]
+                            )
+                        )
+                        if len(pending) > INFLIGHT_WINDOW:
+                            pending.popleft().wait(120)
+                for ticket in pending:
+                    ticket.wait(120)
+            except BaseException as exc:  # surfaced after join
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=(shard,)) for shard in shards
+        ]
+        with _gc_paused():
+            start = time.perf_counter()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            elapsed = time.perf_counter() - start
+        if errors:
+            raise errors[0]
+        wal = tree.wal
+        wal_stats = {
+            "syncs": wal.syncs,
+            "group_batches": wal.group_batches,
+            "group_batch_max": wal.group_batch_max,
+            "group_batch_mean": round(
+                wal.group_batch_records / wal.group_batches, 2
+            )
+            if wal.group_batches
+            else 0.0,
+            "unsynced_acks": wal.unsynced_acks,
+        }
+        tree.close()
+        return elapsed, wal_stats
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+
+
+def network_ingest(
+    keys: list[int],
+    writers: int,
+    batch_size: int,
+    window: int,
+    scale: BenchScale,
+) -> tuple[float, dict[str, Any]]:
+    """One timed network-ingest run; returns ``(seconds, server_stats)``.
+
+    A loopback :class:`~repro.net.server.QuitServer` fronts the same
+    ``DurableTree(ConcurrentTree(QuIT), fsync="group")`` the in-process
+    baseline uses; ``writers`` clients each pipeline their shard as
+    ``PUT_MANY`` frames with up to ``window`` outstanding.  The timed
+    section ends when every ack has been reaped — like the in-process
+    baseline, no acknowledgement is left in flight.
+    """
+    from ..net import BackgroundServer, QuitClient
+
+    directory = tempfile.mkdtemp(prefix="quit-netbench-")
+    try:
+        tree = DurableTree(
+            ConcurrentTree(QuITTree(scale.tree_config)),
+            directory,
+            fsync="group",
+        )
+        shards = [keys[i::writers] for i in range(writers)]
+        errors: list[BaseException] = []
+        with BackgroundServer(tree, max_inflight=max(64, writers * window)) as bg:
+            clients = [
+                QuitClient("127.0.0.1", bg.port, deadline=120.0)
+                for _ in shards
+            ]
+
+            def run(client: "QuitClient", shard: list[int]) -> None:
+                try:
+                    batches = [
+                        [(k, k) for k in shard[lo : lo + batch_size]]
+                        for lo in range(0, len(shard), batch_size)
+                    ]
+                    client.pipeline_insert_many(batches, window=window)
+                except BaseException as exc:  # surfaced after join
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=run, args=(client, shard))
+                for client, shard in zip(clients, shards)
+            ]
+            with _gc_paused():
+                start = time.perf_counter()
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                elapsed = time.perf_counter() - start
+            for client in clients:
+                client.close()
+            stats = bg.stats.as_dict()
+        if errors:
+            raise errors[0]
+        tree.close()
+        return elapsed, stats
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)

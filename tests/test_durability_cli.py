@@ -68,34 +68,6 @@ class TestCheckpointAndScrub:
         assert "B+-tree:" in capsys.readouterr().out
 
 
-class TestBench:
-    def test_bench_prints_timings(self):
-        out = io.StringIO()
-        code = main(
-            ["bench", "--n", "2000", "--wal-ops", "200",
-             "--leaf-capacity", "32"],
-            out=out,
-        )
-        assert code == 0
-        text = out.getvalue()
-        assert "checkpoint (v3 snapshot)" in text
-        assert "recovery (snapshot+replay)" in text
-        assert "recovered 2200 entries (200 WAL records replayed)" in text
-        assert "clean=True" in text
-
-    def test_bench_honors_directory_and_fsync(self, tmp_path):
-        out = io.StringIO()
-        code = main(
-            ["bench", "--n", "500", "--wal-ops", "50",
-             "--fsync", "always", "--variant", "tail-B+-tree",
-             "--directory", str(tmp_path / "state")],
-            out=out,
-        )
-        assert code == 0
-        assert (tmp_path / "state" / "snapshot.quit").exists()
-        # The state the bench left behind is a valid durability dir.
-        assert main(["recover", str(tmp_path / "state")], out=io.StringIO()) == 0
-
 class TestReplicateCommand:
     def test_replicate_streams_and_checkpoints(self, tmp_path):
         out = io.StringIO()

@@ -56,6 +56,25 @@ class TestBasicSurface:
         assert c.count_range(0, 9) == 9
         assert c.range_query(2, 5) == [(2, 4), (3, 9), (4, 16)]
 
+    @pytest.mark.parametrize("window", [1, 64])
+    def test_pipeline_insert_many(self, served, window):
+        """Pipelined PUT_MANY frames, one in flight and more in flight
+        than there are frames: the summed added-count counts new keys
+        only, and a key repeated across frames keeps its last value."""
+        durable, bg, c = served
+        # Frame f carries keys 10f..10f+19, so each frame rewrites the
+        # upper half of the one before it: 70 distinct keys in 6 frames.
+        batches = [
+            [(k, k * 10 + f) for k in range(10 * f, 10 * f + 20)]
+            for f in range(6)
+        ]
+        assert c.pipeline_insert_many(batches, window=window) == 70
+        keys = list(range(70))
+        expected = [k * 10 + min(k // 10, 5) for k in keys]
+        assert c.get_many(keys) == expected
+        assert [durable.get(k) for k in keys] == expected
+        assert len(c) == 70
+
     def test_range_iter_pages_across_requests(self, served):
         durable, bg, c = served
         c.scan_page = 7  # force multiple SCAN round trips
