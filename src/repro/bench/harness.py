@@ -29,25 +29,11 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from ..concurrency import ConcurrentTree
-from ..core import (
-    BPlusTree,
-    DurableTree,
-    LilBPlusTree,
-    PoleBPlusTree,
-    QuITTree,
-    TailBPlusTree,
-    TreeConfig,
-)
+from ..core import TREE_VARIANTS, DurableTree, QuITTree, TreeConfig
 from ..sware import SABPlusTree
 
 #: Variant registry in the paper's presentation order.
-VARIANTS: dict[str, type] = {
-    "B+-tree": BPlusTree,
-    "tail-B+-tree": TailBPlusTree,
-    "lil-B+-tree": LilBPlusTree,
-    "pole-B+-tree": PoleBPlusTree,
-    "QuIT": QuITTree,
-}
+VARIANTS: dict[str, type] = {cls.name: cls for cls in TREE_VARIANTS}
 
 
 @dataclass(frozen=True)

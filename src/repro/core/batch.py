@@ -24,18 +24,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Any, Iterable, Iterator
 
-try:  # numpy accelerates run detection for numeric keys; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a baked-in test dep
-    _np = None
-
 # Key is structurally ``Any`` (see repro.core.node); redeclared here rather
 # than imported so node.py can use merge_run without an import cycle.
 Key = Any
-
-#: Below this batch size the numpy conversion overhead outweighs the
-#: vectorized breakpoint scan.
-_VECTORIZE_MIN = 64
 
 
 def probe_runs(
@@ -43,24 +34,16 @@ def probe_runs(
 ) -> tuple[list[tuple[Key, Any]], int]:
     """Materialize ``items`` and count its maximal non-decreasing runs.
 
-    One O(n) scan (vectorized for numeric keys) that does *not* build the
-    runs — callers use the count to pick an ingest strategy (apply runs
-    in arrival order vs coalesce a fragmented batch by sorting) before
-    paying for :func:`carve_runs`.  Returns ``(items_as_list, run_count)``.
+    One O(n) scan that does *not* build the runs — callers use the count
+    to pick an ingest strategy (apply runs in arrival order vs coalesce a
+    fragmented batch by sorting) before paying for :func:`carve_runs`.
+    Returns ``(items_as_list, run_count)``.
     """
     if not isinstance(items, list):
         items = list(items)
     n = len(items)
     if n < 2:
         return items, n
-    if _np is not None and n >= _VECTORIZE_MIN:
-        keys = [k for k, _ in items]
-        try:
-            arr = _np.asarray(keys)
-            if arr.ndim == 1 and arr.dtype.kind in "iuf":
-                return items, int((arr[1:] < arr[:-1]).sum()) + 1
-        except (ValueError, TypeError, OverflowError):
-            pass
     runs = 1
     prev = items[0][0]
     for key, _ in items:
@@ -79,52 +62,9 @@ def carve_runs(
     increasing (duplicates within a run collapse to the latest value).
     A fully sorted batch yields exactly one run; a reverse-sorted batch
     degenerates to one run per entry, matching the per-key insert cost.
-
-    Numeric batches large enough to amortize the conversion are scanned
-    with a vectorized breakpoint detector; everything else (strings,
-    tuples, mixed types) takes the generic single-pass scan.
+    Keys are compared as Python objects, so mixed int/float keys keep
+    their exact order.
     """
-    if not isinstance(items, list):
-        items = list(items)
-    if not items:
-        return
-    if _np is not None and len(items) >= _VECTORIZE_MIN:
-        keys = [k for k, _ in items]
-        arr = None
-        try:
-            candidate = _np.asarray(keys)
-            if candidate.ndim == 1 and candidate.dtype.kind in "iuf":
-                arr = candidate
-        except (ValueError, TypeError, OverflowError):
-            arr = None
-        if arr is not None:
-            yield from _carve_runs_vectorized(items, keys, arr)
-            return
-    yield from _carve_runs_generic(items)
-
-
-def _carve_runs_vectorized(
-    items: list[tuple[Key, Any]],
-    keys: list[Key],
-    arr: "Any",
-) -> Iterator[tuple[list[Key], list[Any]]]:
-    """Run carving driven by a C-speed breakpoint scan over ``arr``."""
-    head, tail = arr[:-1], arr[1:]
-    starts = _np.flatnonzero(tail < head) + 1
-    has_dups = bool((tail == head).any())
-    bounds = [0, *starts.tolist(), len(items)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        run_keys = keys[lo:hi]
-        run_vals = [v for _, v in items[lo:hi]]
-        if has_dups:
-            run_keys, run_vals = _collapse_duplicates(run_keys, run_vals)
-        yield run_keys, run_vals
-
-
-def _carve_runs_generic(
-    items: list[tuple[Key, Any]],
-) -> Iterator[tuple[list[Key], list[Any]]]:
-    """Single-pass run carving for arbitrary comparable keys."""
     run_keys: list[Key] = []
     run_vals: list[Any] = []
     append_key = run_keys.append
@@ -149,22 +89,6 @@ def _carve_runs_generic(
         prev = key
     if run_keys:
         yield run_keys, run_vals
-
-
-def _collapse_duplicates(
-    run_keys: list[Key], run_vals: list[Any]
-) -> tuple[list[Key], list[Any]]:
-    """Collapse equal adjacent keys in a non-decreasing run, keeping the
-    latest value (arrival-order upsert semantics)."""
-    out_keys: list[Key] = []
-    out_vals: list[Any] = []
-    for key, value in zip(run_keys, run_vals):
-        if out_keys and key == out_keys[-1]:
-            out_vals[-1] = value
-        else:
-            out_keys.append(key)
-            out_vals.append(value)
-    return out_keys, out_vals
 
 
 def merge_run(

@@ -34,10 +34,12 @@ import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence, TextIO
 
-from ..bench.harness import VARIANTS
-from ..core import DurableTree, TreeConfig
+from ..core import TREE_VARIANTS, DurableTree, TreeConfig
 from .client import NetError, QuitClient
 from .server import QuitServer
+
+#: ``--variant`` choices: the paper's variants keyed by ``cls.name``.
+VARIANTS: dict[str, type] = {cls.name: cls for cls in TREE_VARIANTS}
 
 
 def build_parser() -> argparse.ArgumentParser:

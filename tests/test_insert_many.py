@@ -162,7 +162,7 @@ def test_insert_many_rejects_bad_fill_factor():
 
 
 def test_insert_many_non_numeric_keys(any_tree_class):
-    """String keys exercise the generic (non-vectorized) run carver."""
+    """String keys go through the same run carver as integers."""
     words = [f"k{i:04d}" for i in range(300)]
     rng = random.Random(3)
     rng.shuffle(words)

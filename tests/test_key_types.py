@@ -7,7 +7,13 @@ import random
 import pytest
 
 from repro.betree import BeTree, BeTreeConfig
-from repro.core import QuITTree, TreeConfig
+from repro.core import (
+    DurableTree,
+    QuITTree,
+    TreeConfig,
+    carve_runs,
+    probe_runs,
+)
 
 from conftest import validate_tree
 
@@ -124,3 +130,50 @@ class TestFloatKeys:
         # IKR handles float domains: variable splits still happen.
         assert tree.stats.variable_splits > 0
         assert tree.occupancy().avg_occupancy > 0.9
+
+
+class TestMixedIntFloatKeys:
+    """``insert_many`` orders mixed int/float keys as Python compares
+    them.  Above 2**53 an int and a float can differ while their float64
+    images are equal, so a float64 run detector would merge the two
+    keys below into one run and store them out of order."""
+
+    # 64 pairs: 62 ascending ints, then an int just above 2**53 followed
+    # by a float that is smaller than it (a second run).
+    BATCH = [(i, i) for i in range(62)] + [
+        (2**53 + 1, "int"),
+        (2.0**53, "float"),
+    ]
+
+    def reference(self, tree_class):
+        tree = tree_class(CFG)
+        for key, value in self.BATCH:
+            tree.insert(key, value)
+        return list(tree.items())
+
+    def test_run_primitives_keep_exact_order(self):
+        carved = list(carve_runs(self.BATCH))
+        assert len(carved) == 2
+        assert carved[1] == ([2.0**53], ["float"])
+        assert probe_runs(self.BATCH)[1] == 2
+
+    def test_insert_many_matches_per_key(self, any_tree_class):
+        tree = any_tree_class(CFG)
+        tree.insert_many(self.BATCH)
+        validate_tree(tree)
+        assert list(tree.items()) == self.reference(any_tree_class)
+        assert tree.get(2.0**53) == "float"
+        assert tree.get(2**53 + 1) == "int"
+
+    def test_wal_replay_matches_per_key(self, any_tree_class, tmp_path):
+        durable = DurableTree(any_tree_class(CFG), tmp_path, fsync="none")
+        durable.insert_many(self.BATCH)
+        durable.close()
+        recovered, _ = DurableTree.recover(tmp_path, any_tree_class, CFG)
+        try:
+            validate_tree(recovered.tree)
+            assert list(recovered.tree.items()) == self.reference(
+                any_tree_class
+            )
+        finally:
+            recovered.close()

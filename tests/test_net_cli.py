@@ -2,6 +2,7 @@
 drain, and the client subcommands against it."""
 
 import io
+import json
 import os
 import re
 import signal
@@ -14,7 +15,7 @@ import pytest
 from repro.core import DurableTree, QuITTree, TreeConfig
 from repro.core.durable import WAL_DIRNAME
 from repro.core.wal import segment_paths
-from repro.net.cli import main
+from repro.net.cli import VARIANTS, build_parser, main
 
 CFG = TreeConfig(leaf_capacity=8, internal_capacity=8)
 
@@ -223,3 +224,52 @@ class TestServeWithReplicas:
             assert len(recovered) == 30
         finally:
             recovered.close()
+
+
+class TestImportBudget:
+    """A served process loads only the served path: a restart pays for
+    every module it imports before ``STATUS`` can answer."""
+
+    #: Packages ``quit-serve`` must not pull in (numpy, or layers that
+    #: serving never calls; ``--replicas`` imports replication lazily).
+    FORBIDDEN = (
+        "numpy",
+        "repro.bench",
+        "repro.sware",
+        "repro.sortedness",
+        "repro.workloads",
+        "repro.replication",
+        "repro.lint",
+    )
+
+    def _modules(self, statement):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, json; {statement}; "
+             "print(json.dumps(sorted(sys.modules)))"],
+            capture_output=True, text=True, env=_env(), check=True,
+        )
+        return json.loads(out.stdout)
+
+    def test_serve_loads_no_bench_or_numpy(self):
+        loaded = self._modules("import repro.net.cli")
+        offenders = [
+            m for m in loaded
+            if any(m == p or m.startswith(p + ".") for p in self.FORBIDDEN)
+        ]
+        assert offenders == []
+
+    def test_package_import_loads_no_numpy(self):
+        loaded = self._modules("import repro")
+        assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+
+    def test_variant_choices_unchanged(self):
+        names = ["B+-tree", "tail-B+-tree", "lil-B+-tree", "pole-B+-tree",
+                 "QuIT"]
+        assert list(VARIANTS) == names
+        parser = build_parser()
+        for name in names:
+            args = parser.parse_args(["serve", "d", "--variant", name])
+            assert VARIANTS[args.variant].name == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "d", "--variant", "SWARE"])
