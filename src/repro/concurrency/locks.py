@@ -21,6 +21,9 @@ from typing import Iterator, Optional
 from . import sanitizer
 from .sanitizer import LockLike
 
+#: Mutexes in a :class:`StripedLocks` pool.
+_N_STRIPES = 64
+
 
 class RWLock:
     """Writer-preferring reader-writer lock."""
@@ -102,7 +105,7 @@ class StripedLocks:
     """A fixed pool of mutexes addressed by hashable ids.
 
     Per-node locks without per-node allocations: node ids map onto
-    ``n_stripes`` mutexes.  Two different nodes may share a stripe, which
+    ``_N_STRIPES`` mutexes.  Two different nodes may share a stripe, which
     only costs spurious contention, never correctness.
 
     All stripes share one sanitizer name: no code path may ever nest two
@@ -110,23 +113,18 @@ class StripedLocks:
     stripe-inside-stripe acquisition surfaces as a self-reacquisition.
     """
 
-    def __init__(
-        self, n_stripes: int = 64, name: Optional[str] = None
-    ) -> None:
-        if n_stripes < 1:
-            raise ValueError(f"n_stripes must be >= 1, got {n_stripes}")
+    def __init__(self, name: Optional[str] = None) -> None:
         self._locks: list[LockLike]
         if name is not None and sanitizer.enabled():
             self._locks = [
-                sanitizer.SanitizedLock(name) for _ in range(n_stripes)
+                sanitizer.SanitizedLock(name) for _ in range(_N_STRIPES)
             ]
         else:
-            self._locks = [threading.Lock() for _ in range(n_stripes)]
-        self.n_stripes = n_stripes
+            self._locks = [threading.Lock() for _ in range(_N_STRIPES)]
 
     def lock_for(self, node_id: int) -> LockLike:
         """The stripe mutex owning ``node_id``."""
-        return self._locks[node_id % self.n_stripes]
+        return self._locks[node_id % _N_STRIPES]
 
     @contextmanager
     def locked(self, node_id: int) -> Iterator[None]:

@@ -830,45 +830,6 @@ class BPlusTree:
             height += 1
         return height
 
-    def append_run(
-        self,
-        run: Iterable[tuple[Key, Any]],
-        fill_factor: float = 1.0,
-    ) -> int:
-        """Append a sorted run of entries, all strictly greater than the
-        current maximum key, building packed leaves at the tail.
-
-        This is the bulk-append primitive SWARE's opportunistic bulk
-        loading uses (§2).  Returns the number of entries appended.
-        """
-        if not 0.0 < fill_factor <= 1.0:
-            raise ValueError(f"fill_factor must be in (0, 1], got {fill_factor}")
-        per_leaf = max(2, int(self.config.leaf_capacity * fill_factor))
-        appended = 0
-        prev_key = self._tail.max_key if self._tail.size else None
-        for key, value in run:
-            if prev_key is not None and key <= prev_key:
-                raise ValueError(
-                    f"append_run keys must exceed the current max "
-                    f"({key!r} <= {prev_key!r})"
-                )
-            prev_key = key
-            tail = self._tail
-            if tail.size >= per_leaf:
-                fresh = self._new_leaf()
-                fresh.keys = [key]
-                fresh.values = [value]
-                fresh.prev = tail
-                fresh.next = None
-                tail.next = fresh
-                self._tail = fresh
-                self._insert_into_parent(tail, key, fresh)
-            else:
-                tail.append_entry(key, value)
-            appended += 1
-            self._size += 1
-        return appended
-
     def bulk_insert_run(
         self,
         run: list[tuple[Key, Any]],

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, Type, Union
+from typing import Any, Iterable, Iterator, Optional, Type, Union
 
 from ..concurrency.locks import RWLock
 from ..testing import faults
 from .bptree import BPlusTree
 from .config import TreeConfig
-from .health import HealthMonitor, HealthState, RetryPolicy
+from .health import HealthMonitor, HealthState
 from .node import Key
 from .persist import load_tree, save_tree
 from .stats import ScrubReport, TreeStats
@@ -55,6 +55,7 @@ from .wal import (
     WALError,
     WALPosition,
     WriteAheadLog,
+    _RETRY,
     repair_wal,
     replay_wal,
 )
@@ -130,8 +131,7 @@ class DurableTree:
             ``"group"`` (batched fsync: "always"-grade acks at a
             fraction of the fsync cost under concurrent writers; see
             :mod:`repro.core.wal`).
-        fsync_interval / segment_bytes / group_queue_max: passed to
-            the WAL.
+        segment_bytes: WAL segment rotation threshold.
 
     Thread-safety follows the wrapped tree: wrap a ``ConcurrentTree``
     for concurrent writers (WAL appends serialize internally either
@@ -153,11 +153,7 @@ class DurableTree:
         directory: Union[str, Path],
         *,
         fsync: str = "always",
-        fsync_interval: int = 64,
         segment_bytes: int = 4 * 1024 * 1024,
-        group_queue_max: int = 8192,
-        health: Optional[HealthMonitor] = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.tree = tree
         self.directory = Path(directory)
@@ -166,23 +162,15 @@ class DurableTree:
         #: WAL: exhausted retries anywhere (append, fsync, snapshot)
         #: degrade the facade as a unit.  Mutations consult it first;
         #: reads never do.
-        self.health = (
-            health
-            if health is not None
-            else HealthMonitor(name=self.directory.name or "durable")
-        )
-        self.retry = retry if retry is not None else RetryPolicy()
+        self.health = HealthMonitor(name=self.directory.name or "durable")
         #: Backref set by an attached Scrubber so ``stats`` can mirror
         #: the scrub counters; None when no scrubber watches this tree.
         self.scrubber: Optional[Any] = None
         self.wal = WriteAheadLog(
             self.directory / WAL_DIRNAME,
             fsync=fsync,
-            fsync_interval=fsync_interval,
             segment_bytes=segment_bytes,
-            group_queue_max=group_queue_max,
             health=self.health,
-            retry=self.retry,
         )
         self.checkpoints = 0
         self.last_recovery: Optional[RecoveryReport] = None
@@ -402,7 +390,7 @@ class DurableTree:
         count = save_tree(
             snapshot_source,
             self.snapshot_path,
-            retry=self.retry,
+            retry=_RETRY,
             health=self.health,
         )
         faults.fire("checkpoint.before_truncate")
@@ -458,13 +446,8 @@ class DurableTree:
         config: Optional[TreeConfig] = None,
         *,
         fsync: str = "always",
-        fsync_interval: int = 64,
         segment_bytes: int = 4 * 1024 * 1024,
-        group_queue_max: int = 8192,
-        wrap: Optional[Callable[[BPlusTree], Any]] = None,
         scrub: bool = True,
-        health: Optional[HealthMonitor] = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> tuple["DurableTree", RecoveryReport]:
         """Rebuild a durable tree from ``directory``.
 
@@ -479,9 +462,7 @@ class DurableTree:
             tree_class: variant to rebuild into (need not match the one
                 that wrote the state; the log is logical).
             config: overrides the snapshotted node capacities.
-            wrap: applied to the rebuilt tree before wrapping the
-                facade — pass ``ConcurrentTree`` to recover straight
-                into the thread-safe wrapper.
+            fsync / segment_bytes: as for the constructor.
             scrub: audit + repair fast-path metadata after replay.
 
         Returns:
@@ -540,17 +521,6 @@ class DurableTree:
         repair_wal(wal_dir, replay)
         if scrub:
             report.scrub = tree.scrub()
-        if wrap is not None:
-            tree = wrap(tree)
-        durable = cls(
-            tree,
-            directory,
-            fsync=fsync,
-            fsync_interval=fsync_interval,
-            segment_bytes=segment_bytes,
-            group_queue_max=group_queue_max,
-            health=health,
-            retry=retry,
-        )
+        durable = cls(tree, directory, fsync=fsync, segment_bytes=segment_bytes)
         durable.last_recovery = report
         return durable, report

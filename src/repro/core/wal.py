@@ -29,11 +29,11 @@ Durability is governed by the fsync policy:
 
 * ``"always"`` — flush + fsync after every append; an acknowledged write
   survives any crash.
-* ``"interval"`` — fsync every ``fsync_interval`` appends (and on
+* ``"interval"`` — fsync every ``_FSYNC_INTERVAL`` (64) appends (and on
   rotation/close); bounded loss window, much cheaper.  **An
   interval-mode acknowledgement is NOT durable until the next fsync**:
   the append has only been flushed to the OS page cache when the call
-  returns, so a crash inside the window loses up to ``fsync_interval``
+  returns, so a crash inside the window loses up to ``_FSYNC_INTERVAL``
   acknowledged records.  The ``unsynced_acks`` counter tracks exactly
   how many acknowledgements were handed out before their bytes were
   fsynced, so tests (and operators) can see the loss window.
@@ -86,6 +86,15 @@ OP_INSERT_MANY = "m"
 OP_EPOCH = "e"
 
 _FSYNC_POLICIES = ("always", "interval", "none", "group")
+
+#: Appends between fsyncs under ``fsync="interval"``.
+_FSYNC_INTERVAL = 64
+#: Records that may wait for the group-commit flusher before writers
+#: block (backpressure).
+_GROUP_QUEUE_MAX = 8192
+#: Transient-fault retry for every append, fsync and segment open, and
+#: for the owning DurableTree's snapshot writes.
+_RETRY = RetryPolicy()
 
 
 class WALError(ValueError):
@@ -720,10 +729,9 @@ class WriteAheadLog:
     Args:
         directory: created if missing; holds the segment files.
         fsync: ``"always"`` / ``"interval"`` / ``"none"`` / ``"group"``.
-        fsync_interval: appends between fsyncs under ``"interval"``.
         segment_bytes: rotation threshold for the active segment.
-        group_queue_max: bound on records waiting for the group-commit
-            flusher; writers block (backpressure) when it is full.
+        health: monitor shared with the owner (a :class:`DurableTree`
+            passes its own); a private one is made when omitted.
 
     A fresh appender always starts a new segment rather than appending
     to the previous one: the previous tail may hold bytes that were
@@ -749,28 +757,19 @@ class WriteAheadLog:
         directory: Union[str, Path],
         *,
         fsync: str = "always",
-        fsync_interval: int = 64,
         segment_bytes: int = 4 * 1024 * 1024,
-        group_queue_max: int = 8192,
         health: Optional[HealthMonitor] = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         if fsync not in _FSYNC_POLICIES:
             raise WALError(
                 f"fsync must be one of {_FSYNC_POLICIES}, got {fsync!r}"
             )
-        if fsync_interval <= 0:
-            raise WALError(f"fsync_interval must be positive, got {fsync_interval}")
         if segment_bytes <= 0:
             raise WALError(f"segment_bytes must be positive, got {segment_bytes}")
-        if group_queue_max <= 0:
-            raise WALError(
-                f"group_queue_max must be positive, got {group_queue_max}"
-            )
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         #: Write-path health: transient I/O faults are retried per
-        #: ``retry``; exhausted retries flip the monitor to READ_ONLY
+        #: ``_RETRY``; exhausted retries flip the monitor to READ_ONLY
         #: and surface as :class:`ReadOnlyError`.  A DurableTree shares
         #: its own monitor with the WAL so the whole stack degrades as
         #: one unit.
@@ -779,11 +778,8 @@ class WriteAheadLog:
             if health is not None
             else HealthMonitor(name=f"wal:{self.directory.name}")
         )
-        self.retry = retry if retry is not None else RetryPolicy()
         self.fsync_policy = fsync
-        self.fsync_interval = fsync_interval
         self.segment_bytes = segment_bytes
-        self.group_queue_max = group_queue_max
         self.records_appended = 0
         self.bytes_appended = 0
         self.syncs = 0
@@ -912,7 +908,7 @@ class WriteAheadLog:
                 self._sync_locked(fh)
             elif policy == "interval":
                 fh.flush()
-                if self._since_sync >= self.fsync_interval:
+                if self._since_sync >= _FSYNC_INTERVAL:
                     self._sync_locked(fh)
                 else:
                     # This ack is NOT durable yet: it rides the page
@@ -930,7 +926,7 @@ class WriteAheadLog:
         """Encode ``op`` and hand it to the flusher; returns its ticket.
 
         Blocks (bounded backpressure) while the queue holds
-        ``group_queue_max`` records.  The returned ticket resolves only
+        ``_GROUP_QUEUE_MAX`` records.  The returned ticket resolves only
         after the batch containing this record has been fsynced.
         """
         record = frame_record(op)
@@ -946,7 +942,7 @@ class WriteAheadLog:
                     )
                 if self._group_closing:
                     raise WALError("WAL is closed")
-                if len(self._group_pending) < self.group_queue_max:
+                if len(self._group_pending) < _GROUP_QUEUE_MAX:
                     self._group_pending.append((record, ticket))
                     break
                 # Full: wait for the flusher to drain, then retry.  The
@@ -973,7 +969,7 @@ class WriteAheadLog:
         # Unbuffered: every record write is an os.write, so a simulated
         # crash can never leave bytes in a Python-level buffer that a
         # later GC flush would resurrect behind a repaired tail.
-        self._fh = self.retry.run(
+        self._fh = _RETRY.run(
             lambda: open(path, "ab", buffering=0),
             monitor=self.health,
         )
@@ -1001,7 +997,7 @@ class WriteAheadLog:
             def rewind() -> None:
                 fh.truncate(base)
 
-            self.retry.resume(
+            _RETRY.resume(
                 lambda: faults.write("io.wal.write", fh, data),
                 exc,
                 monitor=self.health,
@@ -1018,7 +1014,7 @@ class WriteAheadLog:
         try:
             faults.fsync("io.wal.fsync", fh)
         except OSError as exc:
-            self.retry.resume(
+            _RETRY.resume(
                 lambda: faults.fsync("io.wal.fsync", fh),
                 exc,
                 monitor=self.health,

@@ -80,9 +80,6 @@ class Project:
             project.files.append(SourceFile(path=py, text=text, tree=tree))
         return project
 
-    def by_stem(self, stem: str) -> List[SourceFile]:
-        return [f for f in self.files if f.stem == stem]
-
 
 def _collect(paths: Sequence[Path]) -> Iterable[Path]:
     seen = set()

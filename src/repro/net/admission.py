@@ -28,6 +28,10 @@ import asyncio
 import time
 from dataclasses import dataclass, fields
 
+#: Floor of the advisory backoff (seconds) handed to shed clients;
+#: :meth:`AdmissionController.advisory` scales it up with queue depth.
+_ADVISORY_BASE = 0.05
+
 
 class ShedError(RuntimeError):
     """The request was refused at admission (load shed or draining).
@@ -118,8 +122,6 @@ class AdmissionController:
             are shed instead of queued.
         queue_wait: the queue deadline — the longest any request may
             wait for a slot regardless of its own (longer) budget.
-        advisory_base: floor of the advisory backoff handed to shed
-            clients; scaled up with queue depth.
     """
 
     def __init__(
@@ -128,7 +130,6 @@ class AdmissionController:
         max_inflight: int = 64,
         queue_high_water: int = 256,
         queue_wait: float = 1.0,
-        advisory_base: float = 0.05,
         stats: ServerStats,
     ) -> None:
         if max_inflight <= 0:
@@ -140,7 +141,6 @@ class AdmissionController:
         self.max_inflight = max_inflight
         self.queue_high_water = queue_high_water
         self.queue_wait = queue_wait
-        self.advisory_base = advisory_base
         self.stats = stats
         self.draining = False
         self._inflight = 0
@@ -159,7 +159,7 @@ class AdmissionController:
         """Suggested client backoff, proportional to the backlog."""
         depth = self._queued + self._inflight
         capacity = self.max_inflight + max(1, self.queue_high_water)
-        return self.advisory_base * (1.0 + 4.0 * depth / capacity)
+        return _ADVISORY_BASE * (1.0 + 4.0 * depth / capacity)
 
     async def admit(self, deadline: float) -> None:
         """Admit one request or refuse it; ``deadline`` is absolute
@@ -172,7 +172,7 @@ class AdmissionController:
         stats = self.stats
         if self.draining:
             stats.net_sheds += 1
-            raise ShedError("draining", self.advisory_base)
+            raise ShedError("draining", _ADVISORY_BASE)
         # A request "would wait" when no slot is free OR someone is
         # already queued (a momentarily free slot belongs to the queue,
         # not to the newcomer).  Only those are measured against the
@@ -219,7 +219,7 @@ class AdmissionController:
             # rather than starting work the shutdown must then outwait.
             self.release()
             stats.net_sheds += 1
-            raise ShedError("draining", self.advisory_base)
+            raise ShedError("draining", _ADVISORY_BASE)
 
     def release(self) -> None:
         """Return an admitted request's slot."""

@@ -105,11 +105,14 @@ class Ack(NamedTuple):
     result: Any
 
 
-#: Client-side retry defaults: more patient than the storage stack's
-#: (network blips outlast disk blips) but still deadline-capped.
-DEFAULT_RETRY = RetryPolicy(
-    attempts=8, base_delay=0.01, max_delay=0.25, deadline=5.0
-)
+#: Client-side retry: more patient than the storage stack's (network
+#: blips outlast disk blips); its ``deadline`` field is re-derived per
+#: request from the request budget.
+_RETRY = RetryPolicy(attempts=8, base_delay=0.01, max_delay=0.25, deadline=5.0)
+#: Cap on a single TCP connect (seconds).
+_CONNECT_TIMEOUT = 2.0
+#: Keys fetched per SCAN page by :meth:`QuitClient.range_iter`.
+_SCAN_PAGE = 512
 
 
 class QuitClient:
@@ -119,11 +122,6 @@ class QuitClient:
         host / port: server address.
         deadline: default per-request wall-clock budget (seconds);
             every public method takes a ``deadline=`` override.
-        retry: transient-failure policy (attempts/backoff); its
-            ``deadline`` field is re-derived per request from the
-            request budget.
-        connect_timeout: cap on a single TCP connect.
-        scan_page: keys fetched per SCAN page by :meth:`range_iter`.
 
     One socket, lazily (re)connected; any transport error closes it so
     the next attempt starts clean.  Not thread-safe — use one client
@@ -135,16 +133,10 @@ class QuitClient:
         port: int,
         *,
         deadline: float = 5.0,
-        retry: RetryPolicy = DEFAULT_RETRY,
-        connect_timeout: float = 2.0,
-        scan_page: int = 512,
     ) -> None:
         self.host = host
         self.port = port
         self.deadline = deadline
-        self.retry = retry
-        self.connect_timeout = connect_timeout
-        self.scan_page = scan_page
         #: boot id of the last server tenure that answered; the soak
         #: harness watches it change across kills/restarts.
         self.last_boot_id: Optional[int] = None
@@ -171,7 +163,7 @@ class QuitClient:
     def _connected(self, budget: float) -> socket.socket:
         if self._sock is not None:
             return self._sock
-        timeout = max(0.001, min(self.connect_timeout, budget))
+        timeout = max(0.001, min(_CONNECT_TIMEOUT, budget))
         try:
             sock = socket.create_connection(
                 (self.host, self.port), timeout=timeout
@@ -240,7 +232,7 @@ class QuitClient:
         budget = self.deadline if deadline is None else deadline
         until = time.monotonic() + budget
         request_id = random.getrandbits(63) | 1
-        policy = dataclasses.replace(self.retry, deadline=budget)
+        policy = dataclasses.replace(_RETRY, deadline=budget)
 
         def attempt() -> Ack:
             status, flags, resp = self._exchange(op, request_id, payload, until)
@@ -322,7 +314,7 @@ class QuitClient:
         while True:
             items, done = self.request(
                 protocol.OP_SCAN,
-                (cursor, end, self.scan_page, exclusive),
+                (cursor, end, _SCAN_PAGE, exclusive),
                 deadline=deadline,
             ).result
             for key, value in items:

@@ -67,6 +67,14 @@ MAX_BUDGET = 60.0
 #: Fallback budget for a frame that carries none (<= 0).
 DEFAULT_BUDGET = 5.0
 
+#: Retained idempotency results; the oldest fall out first (a retry
+#: older than the window re-applies, which upsert/delete absorb).
+_DEDUP_CAPACITY = 8192
+#: Hard cap on items per SCAN page.
+_SCAN_LIMIT_MAX = 4096
+#: Longest a drain waits for in-flight requests before cancelling them.
+_DRAIN_TIMEOUT = 30.0
+
 #: The only sites the chaos admin may arm: disk faults, never a crash.
 _ADMIN_IO_SITES = frozenset(faults.IO_WRITE_SITES + faults.IO_READ_SITES)
 
@@ -94,14 +102,11 @@ class QuitServer:
             published as :attr:`port` after :meth:`start`).
         max_inflight / queue_high_water / queue_wait: admission knobs
             (see :class:`~repro.net.admission.AdmissionController`).
-        dedup_capacity: retained idempotency results; oldest entries
-            fall out first (a retry older than the window re-applies,
-            which upsert/delete semantics absorb).
-        scan_limit_max: hard cap on items per SCAN page.
         admin: enable the chaos-control admin opcode (test harnesses
             only — never in production serving).
-        checkpoint_on_drain: write a snapshot + truncate the WAL as the
-            final drain step, so the next start replays ~nothing.
+
+    A drain always ends with a checkpoint (snapshot + WAL truncate), so
+    the next start replays ~nothing.
     """
 
     def __init__(
@@ -113,19 +118,12 @@ class QuitServer:
         max_inflight: int = 64,
         queue_high_water: int = 256,
         queue_wait: float = 1.0,
-        dedup_capacity: int = 8192,
-        scan_limit_max: int = 4096,
         admin: bool = False,
-        checkpoint_on_drain: bool = True,
-        drain_timeout: float = 30.0,
     ) -> None:
         self.backend = backend
         self.host = host
         self.port = port
         self.admin = admin
-        self.checkpoint_on_drain = checkpoint_on_drain
-        self.drain_timeout = drain_timeout
-        self.scan_limit_max = scan_limit_max
         self.boot_id = random.getrandbits(32)
         self.stats = ServerStats()
         self.admission = AdmissionController(
@@ -136,7 +134,6 @@ class QuitServer:
         )
         #: Replicas the CLI attached (admin partition targets).
         self.replicas: list[Any] = []
-        self._dedup_capacity = dedup_capacity
         self._dedup: "collections.OrderedDict[int, tuple[int, int, Any]]" = (
             collections.OrderedDict()
         )
@@ -220,7 +217,7 @@ class QuitServer:
         settled = len(pending)
         if pending:
             done, not_done = await asyncio.wait(
-                pending, timeout=self.drain_timeout
+                pending, timeout=_DRAIN_TIMEOUT
             )
             for task in not_done:  # pragma: no cover - requires a hang
                 task.cancel()
@@ -228,16 +225,15 @@ class QuitServer:
         self.stats.net_drained_tickets += settled
         # 3. Every ticket acked: barrier the WAL and leave a snapshot
         #    behind so restart replays ~nothing.
-        if self.checkpoint_on_drain:
-            checkpoint = getattr(self.backend, "checkpoint", None)
-            if checkpoint is not None:
-                loop = asyncio.get_running_loop()
-                try:
-                    await loop.run_in_executor(None, checkpoint)
-                except (ReadOnlyError, WALError, OSError):
-                    # A drain on a degraded disk still settles and
-                    # exits; the WAL holds everything acked.
-                    pass
+        checkpoint = getattr(self.backend, "checkpoint", None)
+        if checkpoint is not None:
+            loop = asyncio.get_running_loop()
+            try:
+                await loop.run_in_executor(None, checkpoint)
+            except (ReadOnlyError, WALError, OSError):
+                # A drain on a degraded disk still settles and exits;
+                # the WAL holds everything acked.
+                pass
         # 4. Close lingering connections.
         for writer in list(self._conn_writers):
             try:
@@ -408,7 +404,7 @@ class QuitServer:
                 )
             if op == protocol.OP_SCAN:
                 start, end, limit, exclusive_start = payload
-                limit = max(1, min(int(limit), self.scan_limit_max))
+                limit = max(1, min(int(limit), _SCAN_LIMIT_MAX))
                 items = []
                 done = True
                 for key, value in backend.range_iter(start, end):
@@ -488,7 +484,7 @@ class QuitServer:
         table = self._dedup
         table[request_id] = triple
         table.move_to_end(request_id)
-        while len(table) > self._dedup_capacity:
+        while len(table) > _DEDUP_CAPACITY:
             table.popitem(last=False)
 
     async def _apply_mutation(

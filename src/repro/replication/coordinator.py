@@ -14,13 +14,13 @@ A primary consults it before every acknowledgement (see
 * :meth:`tick` health-checks the primary through its transport;
   ``failure_threshold`` consecutive failures trigger :meth:`failover`.
 * :meth:`failover` elects among the reachable replicas — refusing to
-  act below ``election_quorum`` (promoting from a minority could choose
-  a node that missed synchronously acknowledged writes) — drains each
-  candidate as far as the links allow, promotes the one with the
-  highest ``applied_lsn``, bumps the registry epoch (which instantly
-  fences the old primary's acknowledgements), delivers a best-effort
-  fencing decree over the old transport, and re-points the remaining
-  replicas at the new primary.
+  act below a majority of the replica set (promoting from a minority
+  could choose a node that missed synchronously acknowledged writes) —
+  drains each candidate as far as the links allow, promotes the one
+  with the highest ``applied_lsn``, bumps the registry epoch (which
+  instantly fences the old primary's acknowledgements), delivers a
+  best-effort fencing decree over the old transport, and re-points the
+  remaining replicas at the new primary.
 
 Why "most caught-up wins" is safe with quorum acks: positions within
 one primary's stream are totally ordered, so the maximal replica's log
@@ -131,8 +131,9 @@ class FailoverCoordinator:
             ``lambda p: InProcessTransport(p)``).
         failure_threshold: consecutive failed health checks before
             :meth:`tick` triggers a failover.
-        election_quorum: minimum reachable replicas to elect; defaults
-            to a majority of the current replica set.
+
+    Election needs :attr:`election_quorum` reachable replicas: a
+    majority of the current replica set.
     """
 
     def __init__(
@@ -144,7 +145,6 @@ class FailoverCoordinator:
         *,
         transport_factory: Callable[[Primary], ReplicationTransport],
         failure_threshold: int = 3,
-        election_quorum: Optional[int] = None,
     ) -> None:
         self.primary = primary
         self.primary_transport = primary_transport
@@ -152,15 +152,12 @@ class FailoverCoordinator:
         self.registry = registry
         self.transport_factory = transport_factory
         self.failure_threshold = failure_threshold
-        self._election_quorum = election_quorum
         self.strikes = 0
         self.failovers = 0
         self.health_checks = 0
 
     @property
     def election_quorum(self) -> int:
-        if self._election_quorum is not None:
-            return self._election_quorum
         return len(self.replicas) // 2 + 1
 
     # -- health loop ---------------------------------------------------

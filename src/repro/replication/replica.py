@@ -20,9 +20,12 @@ transport and applies it:
 * every record's CRC32 is re-verified on this side of the wire;
 * records at or below ``applied_lsn`` are deduplicated (the transport
   may re-deliver);
-* ``OP_EPOCH`` markers move the replica's epoch forward — a marker (or
-  a fetch) carrying an *older* epoch means a deposed primary is still
-  talking and is rejected with :class:`StaleEpochError`;
+* a snapshot or batch from a primary whose epoch is *older* than the
+  replica's means a deposed primary is still talking, and is rejected
+  with :class:`StaleEpochError`;
+* ``OP_EPOCH`` markers move the replica's epoch forward; a marker below
+  it is the serving primary's own earlier tenure, still in its retained
+  log after a restart without a checkpoint, and is replayed;
 * the cursor (``applied_lsn``) is persisted after each applied batch,
   *after* an fsync of the local WAL, so a restart never resumes ahead
   of its own durable state (re-applying the overlap is idempotent).
@@ -155,9 +158,19 @@ class Replica:
         shutil.rmtree(self.directory / WAL_DIRNAME, ignore_errors=True)
 
     def bootstrap(self) -> None:
-        """(Re)build local state from the primary's latest snapshot."""
+        """(Re)build local state from the primary's latest snapshot.
+
+        Refuses a primary older than this replica's epoch before
+        touching local state, and otherwise adopts the primary's epoch.
+        """
         self._check_alive()
         payload = self.transport.fetch_snapshot()
+        if payload.epoch < self.epoch:
+            self.stale_epoch_rejects += 1
+            raise StaleEpochError(
+                f"replica {self.name} (epoch {self.epoch}) refused a "
+                f"snapshot from a deposed primary (epoch {payload.epoch})"
+            )
         with self._lock.write_locked():
             self._wipe_local_state()
             if payload.data is not None:
@@ -170,7 +183,7 @@ class Replica:
                 fsync=self.fsync, segment_bytes=self.segment_bytes,
             )
             self.position = payload.base
-            self.epoch = max(self.epoch, payload.epoch)
+            self.epoch = payload.epoch
             self._persist_cursor_locked()
             self.state = ReplicaState.FOLLOWING
             self.bootstraps += 1
@@ -396,13 +409,10 @@ class Replica:
             self.durable.insert_many(op[1])
             self.entries_applied += len(op[1])
         elif tag == OP_EPOCH:
-            if op[1] < self.epoch:
-                self.stale_epoch_rejects += 1
-                raise StaleEpochError(
-                    f"replica {self.name} (epoch {self.epoch}) refused an "
-                    f"epoch marker from a deposed primary ({op[1]})"
-                )
-            self.epoch = op[1]
+            # The batch carrying this marker passed the fencing check on
+            # the primary's current epoch, so a lower marker is that
+            # primary's own earlier tenure: history, not a deposed node.
+            self.epoch = max(self.epoch, op[1])
         # Unknown tags are skipped: a newer primary may ship op kinds
         # this replica version does not know; they carry no data it can
         # mis-apply (same policy as recovery).

@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.betree import BeTree, BeTreeConfig
-from repro.concurrency import ConcurrentTree
+from repro.concurrency import ConcurrentTree, concurrent_tree
 from repro.core import BPlusTree, DuplicateKeyIndex, QuITTree, TreeConfig
 from repro.sortedness.bods import generate_keys
 from repro.sware import SABPlusTree
@@ -293,14 +293,50 @@ def test_concurrent_get_many_matches_per_key():
 
 
 @pytest.mark.parametrize("chunk_size", [1, 7, 256])
-def test_concurrent_range_paths_agree(chunk_size):
+def test_concurrent_range_paths_agree(chunk_size, monkeypatch):
+    monkeypatch.setattr(concurrent_tree, "_RANGE_CHUNK", chunk_size)
     ct = _concurrent_fixture()
     oracle = [
         (k, v) for k, v in ct.tree.items() if 100 <= k < 480
     ]
     assert ct.range_query(100, 480) == oracle
-    assert list(ct.range_iter(100, 480, chunk_size=chunk_size)) == oracle
+    assert list(ct.range_iter(100, 480)) == oracle
     assert ct.count_range(100, 480) == len(oracle)
+
+
+def test_concurrent_range_counters_match_bare_tree():
+    """The wrapper's range reads move ``range_lookups`` /
+    ``leaf_accesses`` / ``node_accesses`` as the tree they wrap does:
+    ``range_query`` and ``count_range`` exactly, and ``range_iter``
+    (which re-descends per chunk) one ``range_lookups`` per call."""
+    cfg = TreeConfig(leaf_capacity=16, internal_capacity=16)
+    bare = QuITTree(cfg)
+    ct = ConcurrentTree(QuITTree(cfg))
+    for k in range(2_000):
+        bare.insert(k, k)
+        ct.insert(k, k)
+    keys = ("range_lookups", "leaf_accesses", "node_accesses")
+
+    def counted(tree, call):
+        before = tree.stats.as_dict()
+        call()
+        diff = _stats_diff(tree.stats, before)
+        return tuple(diff[k] for k in keys)
+
+    for start, end in ((100, 1_500), (1_500, 100), (1_990, 5_000)):
+        for call in (
+            lambda t: t.range_query(start, end),
+            lambda t: t.count_range(start, end),
+        ):
+            assert counted(ct.tree, lambda: call(ct)) == counted(
+                bare, lambda: call(bare)
+            )
+    bare_iter = counted(bare, lambda: list(bare.range_iter(100, 1_500)))
+    lookups, leaves, nodes = counted(
+        ct.tree, lambda: list(ct.range_iter(100, 1_500))
+    )
+    assert lookups == 1
+    assert leaves >= bare_iter[1] and nodes >= bare_iter[2]
 
 
 def test_concurrent_reads_under_writers():
@@ -329,7 +365,7 @@ def test_concurrent_reads_under_writers():
                 if v is None:
                     errors.append(f"lost key {k}")
                     return
-            list(ct.range_iter(200, 800, chunk_size=64))
+            list(ct.range_iter(200, 800))  # 600 entries: several chunks
 
     threads = [threading.Thread(target=writer)] + [
         threading.Thread(target=reader) for _ in range(2)

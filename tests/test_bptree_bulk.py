@@ -1,4 +1,4 @@
-"""Bulk operations: bulk_load, append_run, bulk_insert_run."""
+"""Bulk operations: bulk_load, bulk_insert_run."""
 
 import pytest
 
@@ -79,42 +79,6 @@ class TestBulkLoad:
             tree.insert(k, k)
         assert tree.stats.fast_inserts - before == 50
         validate_tree(tree)
-
-
-class TestAppendRun:
-    def test_appends_beyond_max(self, small_config):
-        tree = BPlusTree(small_config)
-        for k in range(100):
-            tree.insert(k, k)
-        n = tree.append_run([(k, k) for k in range(100, 200)])
-        assert n == 100
-        assert list(tree.keys()) == list(range(200))
-        validate_tree(tree)
-
-    def test_append_into_empty(self, small_config):
-        tree = BPlusTree(small_config)
-        tree.append_run([(k, k) for k in range(50)])
-        assert list(tree.keys()) == list(range(50))
-        validate_tree(tree)
-
-    def test_rejects_key_at_or_below_max(self, small_config):
-        tree = BPlusTree(small_config)
-        tree.insert(10, 10)
-        with pytest.raises(ValueError):
-            tree.append_run([(10, 0)])
-        with pytest.raises(ValueError):
-            tree.append_run([(5, 0)])
-
-    def test_rejects_unsorted_run(self, small_config):
-        tree = BPlusTree(small_config)
-        with pytest.raises(ValueError):
-            tree.append_run([(3, 3), (2, 2)])
-
-    def test_packs_to_fill_factor(self, small_config):
-        tree = BPlusTree(small_config)
-        tree.append_run([(k, k) for k in range(400)], fill_factor=1.0)
-        occ = tree.occupancy()
-        assert occ.avg_occupancy > 0.9
 
 
 class TestBulkInsertRun:

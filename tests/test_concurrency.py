@@ -17,6 +17,7 @@ from repro.concurrency import (
     throughput,
     throughput_curve,
 )
+from repro.concurrency import locks as locks_module
 from repro.core import BPlusTree, QuITTree, TreeConfig
 
 CFG = TreeConfig(leaf_capacity=16, internal_capacity=16)
@@ -75,17 +76,15 @@ class TestRWLock:
 
 
 class TestStripedLocks:
-    def test_rejects_bad_stripes(self):
-        with pytest.raises(ValueError):
-            StripedLocks(0)
-
     def test_same_id_same_lock(self):
-        locks = StripedLocks(8)
+        locks = StripedLocks()
         assert locks.lock_for(5) is locks.lock_for(5)
-        assert locks.lock_for(5) is locks.lock_for(13)  # same stripe
+        # Ids a pool's width apart share a stripe.
+        assert locks.lock_for(5) is locks.lock_for(5 + locks_module._N_STRIPES)
+        assert locks.lock_for(5) is not locks.lock_for(6)
 
     def test_context_manager(self):
-        locks = StripedLocks(4)
+        locks = StripedLocks()
         with locks.locked(7):
             assert locks.lock_for(7).locked()
         assert not locks.lock_for(7).locked()

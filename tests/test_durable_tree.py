@@ -240,10 +240,7 @@ class TestConcurrentComposition:
         t.insert(1001, "y")
         expected = dict(t.tree.items())
         t.close()
-        recovered, report = DurableTree.recover(
-            tmp_path, QuITTree, wrap=ConcurrentTree
-        )
-        assert isinstance(recovered.tree, ConcurrentTree)
+        recovered, report = DurableTree.recover(tmp_path, QuITTree)
         assert dict(recovered.tree.items()) == expected
         assert recovered.get(1001) == "y"
         assert recovered.check() == []
@@ -268,9 +265,7 @@ class TestConcurrentComposition:
         for th in threads:
             th.join()
         t.close()
-        recovered, report = DurableTree.recover(
-            tmp_path, QuITTree, wrap=ConcurrentTree
-        )
+        recovered, report = DurableTree.recover(tmp_path, QuITTree)
         assert report.clean and len(recovered) == 600
         assert recovered.check() == []
 
@@ -440,9 +435,7 @@ class TestDurableExit:
     def test_exit_flushes_on_keyboard_interrupt(self, tmp_path):
         """KeyboardInterrupt leaves a live process: __exit__ must still
         flush/fsync.  Only SimulatedCrash models a dead one."""
-        t = DurableTree(
-            BPlusTree(CFG), tmp_path, fsync="interval", fsync_interval=1000
-        )
+        t = DurableTree(BPlusTree(CFG), tmp_path, fsync="interval")
         with pytest.raises(KeyboardInterrupt):
             with t:
                 t.insert(1, "one")

@@ -15,6 +15,7 @@ import pytest
 
 from repro.concurrency import ConcurrentTree, sanitizer
 from repro.core import DurableTree, QuITTree, TreeConfig
+from repro.core import wal as wal_module
 from repro.core.wal import (
     CommitTicket,
     WALDeadError,
@@ -93,18 +94,17 @@ class TestGroupWAL:
         # Only the acknowledged records are on disk.
         assert len(replay_wal(tmp_path).ops) == 5
 
-    def test_backpressure_bounded_queue_still_completes(self, tmp_path):
-        wal = WriteAheadLog(tmp_path, fsync="group", group_queue_max=4)
+    def test_backpressure_bounded_queue_still_completes(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(wal_module, "_GROUP_QUEUE_MAX", 4)
+        wal = WriteAheadLog(tmp_path, fsync="group")
         tickets = [wal.submit_insert(i, i) for i in range(100)]
         for t in tickets:
             t.wait(10)
         assert wal.group_batch_max <= 4
         wal.close()
         assert len(replay_wal(tmp_path).ops) == 100
-
-    def test_rejects_bad_group_queue_max(self, tmp_path):
-        with pytest.raises(WALError):
-            WriteAheadLog(tmp_path, fsync="group", group_queue_max=0)
 
     def test_ticket_timeout_raises(self):
         with pytest.raises(WALError):
@@ -263,10 +263,9 @@ class TestDurableTreeSubmit:
 
 
 class TestIntervalAckWindow:
-    def test_unsynced_acks_counts_the_window(self, tmp_path):
-        t = DurableTree(
-            QuITTree(CFG), tmp_path, fsync="interval", fsync_interval=10
-        )
+    def test_unsynced_acks_counts_the_window(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wal_module, "_FSYNC_INTERVAL", 10)
+        t = DurableTree(QuITTree(CFG), tmp_path, fsync="interval")
         for i in range(25):
             t.insert(i, i)
         # 25 appends, fsync at 10 and 20: appends 1-9, 11-19, 21-25

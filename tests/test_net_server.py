@@ -17,7 +17,9 @@ from repro.net import (
     ServerFencedError,
     ServerReadOnlyError,
 )
+from repro.net import client as client_module
 from repro.net import protocol
+from repro.net import server as server_module
 from repro.replication import InProcessTransport, Primary, Replica
 
 CFG = TreeConfig(leaf_capacity=8, internal_capacity=8)
@@ -75,9 +77,10 @@ class TestBasicSurface:
         assert [durable.get(k) for k in keys] == expected
         assert len(c) == 70
 
-    def test_range_iter_pages_across_requests(self, served):
+    def test_range_iter_pages_across_requests(self, served, monkeypatch):
         durable, bg, c = served
-        c.scan_page = 7  # force multiple SCAN round trips
+        # Force multiple SCAN round trips.
+        monkeypatch.setattr(client_module, "_SCAN_PAGE", 7)
         c.insert_many([(i, i) for i in range(40)])
         got = list(c.range_iter(5, 30))
         assert got == [(i, i) for i in range(5, 30)]
@@ -161,9 +164,10 @@ class TestIdempotency:
         assert res1 == 3 and res2 == 3
         assert fl2 & protocol.FLAG_DEDUPED
 
-    def test_dedup_table_is_bounded(self, tmp_path):
+    def test_dedup_table_is_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module, "_DEDUP_CAPACITY", 8)
         durable = DurableTree(BPlusTree(), tmp_path / "b", fsync="none")
-        with BackgroundServer(durable, dedup_capacity=8) as bg:
+        with BackgroundServer(durable) as bg:
             c = QuitClient("127.0.0.1", bg.port)
             for i in range(50):
                 c.insert(i, i)

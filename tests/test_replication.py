@@ -291,6 +291,37 @@ class TestFencing:
             replica.poll()
         assert replica.stale_epoch_rejects == 1
 
+    def test_bootstrap_replays_an_earlier_tenure(self, tmp_path):
+        """A primary restarted under a higher epoch without a checkpoint
+        still holds its first tenure's records, epoch marker included:
+        a fresh replica bootstraps across both tenures."""
+        first = make_primary(tmp_path, epoch=1)
+        for i in range(50):
+            first.insert(i, i)
+        first.close()
+        durable, _ = DurableTree.recover(
+            tmp_path / "node0", QuITTree, CONFIG, fsync="none",
+            segment_bytes=2048,
+        )
+        second = Primary(durable, epoch=2, node_id="node0")
+        for i in range(50, 80):
+            second.insert(i, i)
+        replica = make_replica(tmp_path, second, name="r0")
+        replica.catch_up()
+        assert replica.epoch == 2
+        assert replica.items() == [(i, i) for i in range(80)]
+        assert replica.stale_epoch_rejects == 0
+        # Fencing still holds: once it has seen epoch 3, the replica
+        # refuses this epoch-2 primary's stream and its snapshot, and
+        # keeps its local state.
+        replica.epoch = 3
+        with pytest.raises(StaleEpochError):
+            replica.poll()
+        with pytest.raises(StaleEpochError):
+            replica.bootstrap()
+        assert replica.epoch == 3 and replica.stale_epoch_rejects == 2
+        assert len(replica) == 80
+
 
 class TestFailover:
     def build_cluster(self, tmp_path, n_replicas=2, required_acks=0):

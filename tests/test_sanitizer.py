@@ -141,7 +141,7 @@ def test_rwlock_reports_when_named(sanitized):
 
 
 def test_striped_locks_share_one_name(sanitized):
-    pool = StripedLocks(n_stripes=4, name="t.stripes")
+    pool = StripedLocks(name="t.stripes")
     with pool.lock_for(0):
         assert "t.stripes" in sanitizer.held_locks()
         # Nesting a *different* stripe under the first is exactly the

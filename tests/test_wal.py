@@ -135,9 +135,10 @@ class TestFsyncPoliciesAndRotation:
         wal.close()
 
     def test_interval_syncs_every_n(self, wal_dir):
-        wal = WriteAheadLog(wal_dir, fsync="interval", fsync_interval=4)
-        fill(wal, 10)
-        assert wal.syncs == 2  # at appends 4 and 8
+        n = wal_module._FSYNC_INTERVAL
+        wal = WriteAheadLog(wal_dir, fsync="interval")
+        fill(wal, 2 * n + 2)
+        assert wal.syncs == 2  # at appends n and 2n
         wal.close()
         assert wal.syncs == 3  # close always syncs
 
@@ -382,7 +383,7 @@ class TestContextManagerExit:
     def test_exit_flushes_on_keyboard_interrupt(self, wal_dir):
         """An interrupt leaves a *live* process, so __exit__ must still
         close and fsync — only SimulatedCrash models a dead one."""
-        wal = WriteAheadLog(wal_dir, fsync="interval", fsync_interval=1000)
+        wal = WriteAheadLog(wal_dir, fsync="interval")
         with pytest.raises(KeyboardInterrupt):
             with wal:
                 wal.log_insert(1, "a")
