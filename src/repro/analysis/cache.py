@@ -15,6 +15,7 @@ object layout.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -92,7 +93,7 @@ def lookup_trace(
         yield node.node_id
         while not node.is_leaf:
             internal: InternalNode = node  # type: ignore[assignment]
-            node = internal.children[internal.child_index_for(key)]
+            node = internal.children[bisect_right(internal.keys, key)]
             yield node.node_id
 
 

@@ -103,16 +103,13 @@ class BeTreeStats:
 class _Internal:
     __slots__ = ("pivots", "children", "buffer")
 
+    is_leaf = False
+
     def __init__(self) -> None:
         self.pivots: list[Key] = []
         self.children: list[Union["_Internal", LeafNode]] = []
         # key -> (op, value); newest message for the key at this level.
         self.buffer: dict[Key, tuple[str, Any]] = {}
-
-    @property
-    def is_leaf(self) -> bool:
-        """Internal-node marker."""
-        return False
 
     def child_index_for(self, key: Key) -> int:
         """Index of the child whose range contains ``key``."""

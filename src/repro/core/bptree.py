@@ -13,7 +13,7 @@ implementation" methodology (§5).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Optional
 
@@ -280,7 +280,7 @@ class BPlusTree:
         nodes = 1
         while not node.is_leaf:
             internal: InternalNode = node  # type: ignore[assignment]
-            idx = internal.child_index_for(key)
+            idx = bisect_right(internal.keys, key)
             if idx > 0:
                 low = internal.keys[idx - 1]
             if idx < len(internal.keys):
@@ -291,12 +291,17 @@ class BPlusTree:
         return node, low, high  # type: ignore[return-value]
 
     def _find_leaf(self, key: Key, count: bool = True) -> LeafNode:
-        """Leaf that would contain ``key``; counts lookup node accesses."""
+        """Leaf that would contain ``key``; counts lookup node accesses.
+
+        Dispatch-free: one ``bisect_right`` and one list index per level,
+        no method or property call (DESIGN.md §9, "Descents are
+        dispatch-free").
+        """
         node = self._root
         nodes = 1
         while not node.is_leaf:
             internal: InternalNode = node  # type: ignore[assignment]
-            node = internal.children[internal.child_index_for(key)]
+            node = internal.children[bisect_right(internal.keys, key)]
             nodes += 1
         if count:
             self.stats.node_accesses += nodes
@@ -331,13 +336,33 @@ class BPlusTree:
     # ------------------------------------------------------------------
 
     def get(self, key: Key, default: Any = None) -> Any:
-        """Point lookup; returns ``default`` when ``key`` is absent."""
-        self.stats.point_lookups += 1
-        leaf = self._find_leaf(key)
-        idx = leaf.find(key)
-        if idx is None:
-            return default
-        return leaf.value_at(idx)
+        """Point lookup; returns ``default`` when ``key`` is absent.
+
+        The descent (:meth:`_find_leaf`) and the leaf search
+        (:meth:`LeafNode.find`) are inlined: a lookup is one bisect per
+        level plus one in the leaf, with no call in between.
+        :meth:`FastPathTree.get` mirrors this body, so Fig. 10b compares
+        like with like.
+        """
+        stats = self.stats
+        stats.point_lookups += 1
+        node = self._root
+        nodes = 1
+        while not node.is_leaf:
+            internal: InternalNode = node  # type: ignore[assignment]
+            node = internal.children[bisect_right(internal.keys, key)]
+            nodes += 1
+        stats.node_accesses += nodes
+        stats.leaf_accesses += 1
+        leaf: LeafNode = node  # type: ignore[assignment]
+        fill = leaf.fill
+        if leaf.gap != fill:
+            leaf._compact()
+        skeys = leaf.skeys
+        idx = bisect_left(skeys, key, 0, fill)
+        if idx < fill and skeys[idx] == key:
+            return leaf.svals[idx]
+        return default
 
     def get_many(self, keys: Iterable[Key], default: Any = None) -> list[Any]:
         """Batched point lookups; returns values aligned with ``keys``

@@ -9,12 +9,13 @@ inherited from :class:`~repro.core.bptree.BPlusTree`.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterable, Optional
 
 from .bptree import BPlusTree
 from .config import TreeConfig
 from .metadata import FastPathState
-from .node import Key, LeafNode
+from .node import InternalNode, Key, LeafNode, Node
 from .stats import ScrubReport
 
 
@@ -118,31 +119,43 @@ class FastPathTree(BPlusTree):
         ``read_fast_hits`` / ``read_fast_misses``, the read analogues of
         ``fast_inserts`` / ``top_inserts``.
         """
-        # Window check and descent are inlined (no _fast_path_accepts or
-        # super().get dispatch): the out-of-window path must stay within
-        # noise of the plain B+-tree get, which Fig. 10b's no-read-penalty
-        # property measures.  The generic [low, high) test is exact for
-        # every variant — the tail pins fp.high to None by construction.
+        # Window check, descent and leaf search are inlined (no
+        # _fast_path_accepts, super().get, _find_leaf or LeafNode.find
+        # dispatch): past the window check this is BPlusTree.get's body,
+        # so the out-of-window path stays within noise of the plain
+        # B+-tree get, which Fig. 10b's no-read-penalty property
+        # measures.  The generic [low, high) test is exact for every
+        # variant — the tail pins fp.high to None by construction.
         stats = self.stats
+        stats.point_lookups += 1
+        stats.leaf_accesses += 1
         fp = self._fp
-        leaf = fp.leaf
+        node: Optional[Node] = fp.leaf
         if (
-            leaf is not None
+            node is not None
             and (fp.low is None or key >= fp.low)
             and (fp.high is None or key < fp.high)
         ):
             stats.read_fast_hits += 1
-            stats.point_lookups += 1
             stats.node_accesses += 1
-            stats.leaf_accesses += 1
         else:
             stats.read_fast_misses += 1
-            stats.point_lookups += 1
-            leaf = self._find_leaf(key)
-        idx = leaf.find(key)
-        if idx is None:
-            return default
-        return leaf.value_at(idx)
+            node = self._root
+            nodes = 1
+            while not node.is_leaf:
+                internal: InternalNode = node  # type: ignore[assignment]
+                node = internal.children[bisect_right(internal.keys, key)]
+                nodes += 1
+            stats.node_accesses += nodes
+        leaf: LeafNode = node  # type: ignore[assignment]
+        fill = leaf.fill
+        if leaf.gap != fill:
+            leaf._compact()
+        skeys = leaf.skeys
+        idx = bisect_left(skeys, key, 0, fill)
+        if idx < fill and skeys[idx] == key:
+            return leaf.svals[idx]
+        return default
 
     def _read_target_from_fp(self, key: Key) -> Optional[LeafNode]:
         """Serve a batched-read repositioning from the fast-path pointer

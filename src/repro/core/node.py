@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterator, Optional, Sequence, Union
+from typing import Any, ClassVar, Iterator, Optional, Sequence, Union
 
 from .batch import merge_run
 from .stats import TreeStats
@@ -54,14 +54,14 @@ class Node:
     #: of its live slot prefix through a property.
     keys: list[Key]
 
+    #: True on :class:`LeafNode`, False on :class:`InternalNode`.  A plain
+    #: class attribute rather than a property, so the per-level test of
+    #: every descent is an attribute load, not a descriptor call.
+    is_leaf: ClassVar[bool]
+
     def __init__(self) -> None:
         self.parent: Optional["InternalNode"] = None
         self.node_id: int = next(_node_ids)
-
-    @property
-    def is_leaf(self) -> bool:
-        """True for leaf nodes (overridden by subclasses)."""
-        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "Leaf" if self.is_leaf else "Internal"
@@ -110,6 +110,8 @@ class LeafNode(Node):
         "skeys", "svals", "fill", "gap", "gap_hi", "stats", "next", "prev"
     )
 
+    is_leaf = True
+
     def __init__(
         self, capacity: int = 0, stats: Optional[TreeStats] = None
     ) -> None:
@@ -148,11 +150,6 @@ class LeafNode(Node):
         # worth of transient pins per leaf, overwritten by later claims.
         self.gap = fill
         self.gap_hi = None
-
-    @property
-    def is_leaf(self) -> bool:
-        """Always True."""
-        return True
 
     # ------------------------------------------------------------------
     # Storage bridge: whole-list ``keys`` / ``values`` for cold paths
@@ -645,10 +642,14 @@ class InternalNode(Node):
     """An internal node: ``len(children) == len(keys) + 1``.
 
     ``children[i]`` roots the subtree of keys in ``[keys[i-1], keys[i])``
-    (with the open ends at the boundaries).
+    (with the open ends at the boundaries), so the child holding ``key``
+    is ``children[bisect_right(keys, key)]``.  Descents in the trees
+    inline that expression instead of calling a method per level.
     """
 
     __slots__ = ("keys", "children")
+
+    is_leaf = False
 
     def __init__(self) -> None:
         super().__init__()
@@ -656,18 +657,9 @@ class InternalNode(Node):
         self.children: list[Node] = []
 
     @property
-    def is_leaf(self) -> bool:
-        """Always False."""
-        return False
-
-    @property
     def size(self) -> int:
         """Number of children."""
         return len(self.children)
-
-    def child_index_for(self, key: Key) -> int:
-        """Index of the child whose range contains ``key``."""
-        return bisect_right(self.keys, key)
 
     def index_of_child(self, child: Node, stats: Optional[Any] = None) -> int:
         """Position of ``child`` in this node's child list.

@@ -189,7 +189,8 @@ class TestStatsAccounting:
             tree.insert(k, k)
         tree.get(50)
         assert tree.stats.point_lookups == 1
-        assert tree.stats.node_accesses >= tree.height
+        assert tree.stats.node_accesses == tree.height
+        assert tree.stats.leaf_accesses == 1
 
     def test_fastpath_sorted_all_fast(self, small_config, fastpath_tree_class):
         tree = fastpath_tree_class(small_config)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.analysis.cache import lookup_trace
 from repro.core import BPlusTree, TreeConfig
 from repro.core.node import InternalNode, LeafNode
 from repro.core.stats import TreeStats
@@ -141,13 +142,33 @@ class TestInternalNode:
             node.children.append(child)
         return node
 
-    def test_child_index_for(self):
+    def test_descent_child_choice(self):
+        # Every root-to-leaf walk picks children[bisect_right(keys, key)]:
+        # a key equal to a pivot goes right.  Hang the node under a tree
+        # and check each walk (lookup, insert, cache trace) at the
+        # boundary keys.
         node = self._node_with_children([10, 20])
-        assert node.child_index_for(5) == 0
-        assert node.child_index_for(10) == 1
-        assert node.child_index_for(15) == 1
-        assert node.child_index_for(20) == 2
-        assert node.child_index_for(99) == 2
+        tree = BPlusTree(TreeConfig())
+        tree._root = node
+        tree._height = 2
+        for key, child, low, high in [
+            (5, 0, None, 10),
+            (10, 1, 10, 20),
+            (15, 1, 10, 20),
+            (20, 2, 20, None),
+            (99, 2, 20, None),
+        ]:
+            want = node.children[child]
+            assert tree._find_leaf(key) is want
+            assert tree._descend_for_insert(key) == (want, low, high)
+            assert list(lookup_trace(tree, [key])) == [
+                node.node_id, want.node_id,
+            ]
+            # get walks the same way: the child's one key is found, any
+            # other key in its range is absent.
+            assert tree.get(want.min_key) == want.min_key
+            present = key == want.min_key
+            assert tree.get(key, "absent") == (key if present else "absent")
 
     def test_index_of_child(self):
         node = self._node_with_children([10, 20, 30])
