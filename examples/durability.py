@@ -26,7 +26,7 @@ CRASH_AFTER = 3_000  # acknowledged post-checkpoint writes before the "crash"
 
 
 def main() -> None:
-    state_dir = Path(tempfile.mkdtemp(prefix="quit-durability-"))
+    state_dir = Path(tempfile.mkdtemp(prefix="quit-state-"))
     config = TreeConfig(leaf_capacity=64, internal_capacity=64)
     try:
         # ------------------------------------------------------ ingest

@@ -4,6 +4,14 @@ Runs the requested experiments (default: all) at the chosen scale and
 prints each as a plain-text table.  Example::
 
     quit-bench fig8 tab2 --n 50000 --leaf-capacity 64
+
+``quit-bench workload`` is the Benchmark-on-Data-Sortedness tool the
+paper uses (§5): it writes key streams with a requested K-L sortedness
+and measures the K-L sortedness (plus the survey metrics of §2) of
+existing streams::
+
+    quit-bench workload generate out.txt --n 1000000 --k 0.05 --l 1.0
+    quit-bench workload measure out.txt
 """
 
 from __future__ import annotations
@@ -16,6 +24,16 @@ from typing import Optional, Sequence
 import json
 from pathlib import Path
 
+import numpy as np
+
+from ..sortedness.bods import BodsSpec, generate
+from ..sortedness.metrics import (
+    dis_measure,
+    inversion_count,
+    kl_sortedness,
+    out_of_order_count,
+    runs_count,
+)
 from .experiments import EXPERIMENTS
 from .harness import BenchScale
 from .reporting import render, render_chart, to_json_dict
@@ -43,6 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Regenerate the tables and figures of 'QuIT your B+-tree "
             "for the Quick Insertion Tree' (EDBT 2025)."
         ),
+        epilog="'quit-bench workload {generate,measure} ...' generates "
+               "and measures K-L-sorted key streams (BoDS).",
     )
     parser.add_argument(
         "experiments",
@@ -89,6 +109,77 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _workload_parser() -> argparse.ArgumentParser:
+    """Argument parser for ``quit-bench workload``."""
+    parser = argparse.ArgumentParser(
+        prog="quit-bench workload",
+        description="Generate and measure K-L-sorted key streams (BoDS).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    gen = sub.add_parser(
+        "generate", help="write a BoDS stream to a file (one key/line)"
+    )
+    gen.add_argument("path", type=Path, help="output file")
+    gen.add_argument("--n", type=int, default=1_000_000,
+                     help="number of entries")
+    gen.add_argument("--k", type=float, default=0.0,
+                     help="out-of-order fraction in [0, 1]")
+    gen.add_argument("--l", type=float, default=1.0,
+                     help="max displacement fraction in [0, 1]")
+    gen.add_argument("--alpha", type=float, default=1.0,
+                     help="Beta-distribution alpha for positions")
+    gen.add_argument("--beta", type=float, default=1.0,
+                     help="Beta-distribution beta for positions")
+    gen.add_argument("--seed", type=int, default=42)
+
+    meas = sub.add_parser(
+        "measure", help="measure the sortedness of a key stream file"
+    )
+    meas.add_argument("path", type=Path, help="input file (one key/line)")
+    meas.add_argument(
+        "--full", action="store_true",
+        help="also compute O(n log n)+ survey metrics (inversions, Dis)",
+    )
+    return parser
+
+
+def _generate(args: argparse.Namespace) -> int:
+    try:
+        spec = BodsSpec(
+            n=args.n, k_fraction=args.k, l_fraction=args.l,
+            alpha=args.alpha, beta=args.beta, seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"invalid workload spec: {exc}", file=sys.stderr)
+        return 2
+    keys = generate(spec)
+    np.savetxt(args.path, keys, fmt="%d")
+    print(f"wrote {len(keys):,} keys to {args.path} "
+          f"(K={args.k:.2%}, L={args.l:.2%}, seed={args.seed})")
+    return 0
+
+
+def _measure(args: argparse.Namespace) -> int:
+    if not args.path.exists():
+        print(f"no such file: {args.path}", file=sys.stderr)
+        return 2
+    keys = np.loadtxt(args.path, dtype=np.int64, ndmin=1).tolist()
+    if not keys:
+        print("empty stream", file=sys.stderr)
+        return 2
+    m = kl_sortedness(keys)
+    print(f"entries:               {m.n:,}")
+    print(f"K (min removals):      {m.k:,}  ({m.k_fraction:.2%})")
+    print(f"L (max displacement):  {m.l:,}  ({m.l_fraction:.2%})")
+    print(f"predecessor breaks:    {out_of_order_count(keys):,}")
+    print(f"ascending runs:        {runs_count(keys):,}")
+    if args.full:
+        print(f"inversions:            {inversion_count(keys):,}")
+        print(f"Dis (max inv. span):   {dis_measure(keys):,}")
+    return 0
+
+
 def scale_from_args(args: argparse.Namespace) -> BenchScale:
     """Resolve the CLI flags into a BenchScale."""
     scale = BenchScale.smoke() if args.smoke else BenchScale.default()
@@ -110,6 +201,12 @@ def scale_from_args(args: argparse.Namespace) -> BenchScale:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["workload"]:
+        wargs = _workload_parser().parse_args(argv[1:])
+        if wargs.command == "generate":
+            return _generate(wargs)
+        return _measure(wargs)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.batch_size is not None and args.batch_size <= 0:

@@ -62,6 +62,18 @@ from .wal import (
 
 SNAPSHOT_NAME = "snapshot.quit"
 WAL_DIRNAME = "wal"
+#: Written by :mod:`repro.replication`: a node's fencing epoch, and a
+#: replica's applied stream position (its presence marks a replica).
+EPOCH_FILENAME = "EPOCH"
+CURSOR_FILENAME = "replica.cursor"
+
+
+def read_epoch(directory: Path) -> int:
+    """Epoch persisted in ``directory`` (0 when never written)."""
+    try:
+        return int((Path(directory) / EPOCH_FILENAME).read_text().strip())
+    except (FileNotFoundError, ValueError):
+        return 0
 
 
 @dataclass

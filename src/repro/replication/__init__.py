@@ -8,6 +8,7 @@ by a :class:`FailoverCoordinator` when the primary dies — with epoch
 fencing against split-brain.  See DESIGN.md §7.
 """
 
+from ..core.durable import CURSOR_FILENAME, EPOCH_FILENAME, read_epoch
 from .coordinator import (
     ClusterStatus,
     EpochRegistry,
@@ -16,15 +17,13 @@ from .coordinator import (
     PromotionReport,
 )
 from .primary import (
-    EPOCH_FILENAME,
     AckQuorumError,
     FencedError,
     Primary,
     QuorumTimeoutError,
-    read_epoch,
     write_epoch,
 )
-from .replica import CURSOR_FILENAME, Replica, ReplicaState
+from .replica import Replica, ReplicaState
 from .transport import (
     FetchResult,
     InProcessTransport,

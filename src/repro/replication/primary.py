@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 
 from ..concurrency import sanitizer
-from ..core.durable import DurableTree
+from ..core.durable import EPOCH_FILENAME, DurableTree, read_epoch
 from ..core.stats import ScrubReport
 from ..core.wal import (
     CommitTicket,
@@ -54,8 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.wal import WriteAheadLog
     from .coordinator import EpochRegistry
     from .replica import Replica
-
-EPOCH_FILENAME = "EPOCH"
 
 
 class FencedError(ReplicationError):
@@ -84,14 +82,6 @@ class QuorumTimeoutError(AckQuorumError):
     or hung": the former warrants a topology look, the latter a retry
     after backoff.  Without a deadline a single hung replica transport
     blocks acked writers forever; this is the bound."""
-
-
-def read_epoch(directory: Path) -> int:
-    """Epoch persisted in ``directory`` (0 when never written)."""
-    try:
-        return int((Path(directory) / EPOCH_FILENAME).read_text().strip())
-    except (FileNotFoundError, ValueError):
-        return 0
 
 
 def write_epoch(directory: Path, epoch: int) -> None:

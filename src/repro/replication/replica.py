@@ -49,7 +49,13 @@ from ..concurrency import sanitizer
 from ..concurrency.locks import RWLock
 from ..core.bptree import BPlusTree
 from ..core.config import TreeConfig
-from ..core.durable import SNAPSHOT_NAME, WAL_DIRNAME, DurableTree
+from ..core.durable import (
+    CURSOR_FILENAME,
+    EPOCH_FILENAME,
+    SNAPSHOT_NAME,
+    WAL_DIRNAME,
+    DurableTree,
+)
 from ..core.persist import PersistenceError
 from ..core.scrubber import Scrubber
 from ..core.stats import ScrubReport
@@ -62,7 +68,7 @@ from ..core.wal import (
     WALPosition,
 )
 from ..testing import faults
-from .primary import EPOCH_FILENAME, Primary
+from .primary import Primary
 from .transport import (
     ReplicationError,
     ReplicationTransport,
@@ -72,8 +78,6 @@ from .transport import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .coordinator import EpochRegistry
-
-CURSOR_FILENAME = "replica.cursor"
 
 
 class ReplicaState(enum.Enum):

@@ -304,3 +304,31 @@ class TestShapes:
             assert not math.isnan(near_btree["lookup_us"])
 
         check_with_retry(results, "fig1a", check)
+
+
+class TestFig10bTiming:
+    def test_sides_alternate_in_single_rounds(self, monkeypatch):
+        """Fig. 10b times the two trees in alternating single rounds
+        (B, Q, then Q, B, ...), so a host-speed episode lands on both
+        sides instead of on one whole batch."""
+        from repro.bench import experiments
+        from repro.core import QuITTree
+
+        calls = []
+
+        def fake_timer(tree, targets, repeats=2):
+            calls.append(("Q" if isinstance(tree, QuITTree) else "B",
+                          repeats))
+            return 1.0 if isinstance(tree, QuITTree) else 2.0
+
+        monkeypatch.setattr(experiments, "time_point_lookups", fake_timer)
+        scale = BenchScale(
+            n=500, leaf_capacity=16, point_lookups=20, range_lookups=2,
+            repeats=3, seed=7,
+        )
+        result = experiments.exp_fig10b(scale)
+        rounds = len(experiments.MAIN_K_GRID)
+        assert calls == [
+            ("B", 1), ("Q", 1), ("Q", 1), ("B", 1), ("B", 1), ("Q", 1),
+        ] * rounds
+        assert [row["normalized"] for row in result.rows] == [0.5] * rounds

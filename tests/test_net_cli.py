@@ -225,6 +225,33 @@ class TestServeWithReplicas:
         finally:
             recovered.close()
 
+    def test_replicas_take_leaf_capacity(self, tmp_path, monkeypatch):
+        """Every replica is built with ``--leaf-capacity``: on a fresh
+        directory there is no snapshot to carry it, and the replica
+        directory holds none after a drain either, so the live replica
+        trees are read while serving."""
+        from repro.net import cli
+
+        capacities = []
+
+        class Probe(cli.QuitServer):
+            async def serve_until_drained(self):
+                capacities.extend(
+                    r.durable.tree.config.leaf_capacity
+                    for r in self.replicas
+                )
+                await self.drain()
+
+        monkeypatch.setattr(cli, "QuitServer", Probe)
+        out = io.StringIO()
+        assert main(
+            ["serve", str(tmp_path / "node"), "--port", "0",
+             "--leaf-capacity", "8", "--replicas", "2"],
+            out=out,
+        ) == 0
+        assert "graceful drain" in out.getvalue()
+        assert capacities == [8, 8]
+
 
 class TestImportBudget:
     """A served process loads only the served path: a restart pays for
@@ -258,6 +285,30 @@ class TestImportBudget:
             if any(m == p or m.startswith(p + ".") for p in self.FORBIDDEN)
         ]
         assert offenders == []
+
+    def _offenders_after(self, argv):
+        """Forbidden modules loaded by ``main(argv)`` in a fresh process."""
+        loaded = self._modules(
+            f"import io; from repro.net.cli import main; "
+            f"main({argv!r}, out=io.StringIO())"
+        )
+        return [
+            m for m in loaded
+            if any(m == p or m.startswith(p + ".") for p in self.FORBIDDEN)
+        ]
+
+    @pytest.mark.parametrize("command", ["inspect", "verify", "recover"])
+    def test_directory_commands_load_no_bench_or_replication(
+        self, tmp_path, command
+    ):
+        seed_state(tmp_path / "node")
+        assert self._offenders_after([command, str(tmp_path / "node")]) == []
+
+    def test_promote_loads_only_replication(self, tmp_path):
+        seed_state(tmp_path / "node")
+        offenders = self._offenders_after(["promote", str(tmp_path / "node")])
+        assert "repro.replication" in offenders
+        assert all(m.startswith("repro.replication") for m in offenders)
 
     def test_package_import_loads_no_numpy(self):
         loaded = self._modules("import repro")

@@ -1,10 +1,14 @@
-"""Tests for the quit-workload CLI."""
+"""Tests for ``quit-bench workload``: BoDS stream generation and
+sortedness measurement."""
 
 import numpy as np
-import pytest
 
-from repro.bench.workload_cli import main
+from repro.bench.cli import main as bench_main
 from repro.sortedness import kl_sortedness
+
+
+def main(argv):
+    return bench_main(["workload", *argv])
 
 
 class TestGenerate:
