@@ -11,7 +11,12 @@ Two parts, mirroring ``test_batch_ingest.py``:
   B+-tree must be at least 2x faster than the per-key ``get`` loop.
   The classical tree is the honest subject for the ratio — its per-key
   path has no fast-path read shortcut, so the comparison isolates what
-  probe sorting and leaf-chain draining buy.
+  probe sorting and per-leaf draining buy;
+* a second assertion on the served read shape (``net-ingest``'s
+  1,024-probe uniform frames over a 49k-key QuIT, about one probe per
+  leaf): ``get_many`` must be at least 1.3x faster than per-key
+  ``get``, which only routing each next leaf through the parent's
+  pivots (instead of a root descent) delivers.
   ``BENCH_HISTORY.json`` (repo root) records the same measurement for
   the full matrix in its row from commit ``932da59``.
 """
@@ -90,25 +95,14 @@ def test_batched_reads(benchmark, scale, bods_keys, probe_targets, name):
     benchmark.extra_info["read_redescents"] = stats.read_redescents
 
 
-def test_batched_beats_per_key_2x():
-    """Acceptance gate: >=2x batched read throughput on the classical
-    B+-tree for a full-coverage probe set at default scale.
-
-    Five pairs, each timing one per-key and one batched pass; the side
-    that runs first alternates between pairs, so a host-speed change
-    inside the run moves both sides instead of one.  The gate is on the
-    median of the per-pair ratios.  The row from commit ``932da59`` in
-    ``BENCH_HISTORY.json`` records ~3.4x for this cell, so 2x leaves
-    headroom without making the gate vacuous.
-    """
-    scale = BenchScale.default()
-    keys = [
-        int(k) for k in generate_keys(scale.n, 0.05, 0.05, seed=scale.seed)
-    ]
-    tree = _build("B+-tree", scale, keys)
-    targets = list(keys)
+def _paired_speedup(tree, targets, batch_size, pairs=5):
+    """Median per-key/batched time ratio over ``pairs`` pairs, each
+    timing one per-key and one batched pass; the side that runs first
+    alternates between pairs, so a host-speed change inside the run
+    moves both sides instead of one.  Returns the median and the
+    per-pair ratios."""
     ratios = []
-    for rep in range(5):
+    for rep in range(pairs):
         order = ("per-key", "batched") if rep % 2 == 0 else (
             "batched", "per-key"
         )
@@ -118,13 +112,64 @@ def test_batched_beats_per_key_2x():
                 seconds[side] = time_point_lookups(tree, targets, repeats=1)
             else:
                 seconds[side] = time_point_lookups_batched(
-                    tree, targets, READ_BATCH_SIZE, repeats=1
+                    tree, targets, batch_size, repeats=1
                 )
         ratios.append(seconds["per-key"] / seconds["batched"])
-    speedup = statistics.median(ratios)
+    return statistics.median(ratios), [round(r, 2) for r in ratios]
+
+
+def test_batched_beats_per_key_2x():
+    """Acceptance gate: >=2x batched read throughput on the classical
+    B+-tree for a full-coverage probe set at default scale.
+
+    The gate is on the median of five alternating pairs
+    (:func:`_paired_speedup`).  The row from commit ``932da59`` in
+    ``BENCH_HISTORY.json`` records ~3.4x for this cell, so 2x leaves
+    headroom without making the gate vacuous.
+    """
+    scale = BenchScale.default()
+    keys = [
+        int(k) for k in generate_keys(scale.n, 0.05, 0.05, seed=scale.seed)
+    ]
+    tree = _build("B+-tree", scale, keys)
+    speedup, ratios = _paired_speedup(tree, list(keys), READ_BATCH_SIZE)
     assert speedup >= 2.0, (
         f"batched read speedup degraded: {speedup:.2f}x "
-        f"(per-pair ratios {[round(r, 2) for r in ratios]})"
+        f"(per-pair ratios {ratios})"
+    )
+
+
+#: The served read shape: a QuIT loaded by 48 ``insert_many`` frames of
+#: 1,024 pairs, read by 16 ``get_many`` frames of 1,024 uniform probes
+#: over the loaded keys (about one probe per leaf).
+SPARSE_FRAME = 1024
+SPARSE_INGEST_FRAMES = 48
+SPARSE_PROBE_FRAMES = 16
+
+
+def test_batched_beats_per_key_sparse():
+    """Acceptance gate: on sparse probe batches, where consecutive
+    sorted probes rarely share a leaf, ``get_many`` must still beat the
+    per-key loop by 1.3x (median of five alternating pairs) — the win
+    there comes from reaching each next leaf through the parent's
+    pivots instead of a root descent."""
+    scale = BenchScale.default()
+    n = SPARSE_FRAME * SPARSE_INGEST_FRAMES
+    keys = [int(k) for k in generate_keys(n, 0.05, 0.05, seed=scale.seed)]
+    tree = make_tree("QuIT", scale)
+    for lo in range(0, n, SPARSE_FRAME):
+        tree.insert_many([(k, k) for k in keys[lo : lo + SPARSE_FRAME]])
+    rng = random.Random(scale.seed)
+    probes = [
+        rng.choice(keys) for _ in range(SPARSE_FRAME * SPARSE_PROBE_FRAMES)
+    ]
+    assert tree.get_many(probes[:SPARSE_FRAME]) == [
+        tree.get(k) for k in probes[:SPARSE_FRAME]
+    ]
+    speedup, ratios = _paired_speedup(tree, probes, SPARSE_FRAME)
+    assert speedup >= 1.3, (
+        f"sparse batched read speedup degraded: {speedup:.2f}x "
+        f"(per-pair ratios {ratios})"
     )
 
 

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Batched reads: hand the tree probe batches instead of single keys.
 
-``get_many`` sorts each probe batch, descends once per locality run, and
-drains consecutive probes along the interlinked leaf chain — on
-near-sorted probe streams this is several times faster than a per-key
-``get`` loop, with identical results.  ``range_iter`` streams a range
+``get_many`` sorts each probe batch and drains it in key order: probes
+that share a leaf cost one leaf bisect each, the next leaf is found
+through the parent's pivots, and a root descent happens only when the
+probes leave the parent's key range — on near-sorted probe streams
+this is several times faster than a per-key ``get`` loop, with
+identical results.  ``range_iter`` streams a range
 scan lazily so an abandoned scan never walks the whole chain, and
 ``count_range`` counts without materializing.
 
@@ -50,17 +52,17 @@ def main() -> None:
     )
 
     # The read counters show how the work collapsed: almost every probe
-    # was served by advancing along the leaf chain instead of a fresh
-    # root-to-leaf descent.
+    # was served from the current leaf or a sibling found through the
+    # parent's pivots instead of a fresh root-to-leaf descent.
     stats = tree.stats
     print(
         f"\n{stats.read_batches:,} batches: "
-        f"{stats.read_chain_hits:,} probes served off the leaf chain, "
+        f"{stats.read_chain_hits:,} probes served without a descent, "
         f"{stats.read_redescents:,} re-descents"
     )
 
-    # Fast-path variants also answer point reads from the cached leaf's
-    # key window without descending at all.
+    # Fast-path variants also answer per-key point reads from the cached
+    # leaf's key window without descending at all.
     quit_tree = QuITTree(config)
     quit_tree.insert_many([(k, k) for k in keys])
     tail = keys[-200:]  # newest keys: many fall in QuIT's cached leaf

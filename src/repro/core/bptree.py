@@ -54,12 +54,13 @@ _HINT_MIN_SEGMENT = 4
 #: Key extractor for the coalescing sort in :meth:`BPlusTree.insert_many`.
 _key_of = itemgetter(0)
 
-#: Maximum leaves a batched read may walk along the chain before it
-#: concedes and re-descends from the root.  Sorted probe batches usually
-#: advance exactly one leaf at a time (limit never reached); a probe that
-#: jumps far ahead would otherwise degrade to an O(leaves) linear scan
-#: when a descent is O(height).
-_READ_CHAIN_LIMIT = 8
+#: Where a batched read stands: ``(leaf, high, parent, parent_high)``,
+#: ``high`` and ``parent_high`` being the exclusive upper bounds of the
+#: leaf's and its parent's key ranges (None = unbounded); ``parent`` is
+#: None for a leaf root.
+_ReadCursor = tuple[
+    LeafNode, Optional[Key], Optional[InternalNode], Optional[Key]
+]
 
 
 class BPlusTree:
@@ -369,135 +370,118 @@ class BPlusTree:
         (``default`` for absent keys) — the read-side twin of
         :meth:`insert_many`.
 
-        The probe batch is sorted, so consecutive probes usually land in
-        the same leaf or its chain successor: the batch pays one descent
-        to position, then drains probes with a bisect each, advancing
-        along the leaf chain instead of re-descending.  A probe more than
-        :data:`_READ_CHAIN_LIMIT` leaves ahead falls back to a descent
-        (or the variant's fast-path window via
-        :meth:`_read_target_from_fp`).
+        The probe batch is sorted and drained in key order.  A probe
+        below the current leaf's upper bound is one inlined leaf bisect,
+        as in :meth:`get`, started where the previous probe's search
+        ended.  A probe past that bound finds its leaf with one
+        ``bisect_right`` on the parent's pivots; only a probe past the
+        parent's own upper bound descends from the root
+        (:meth:`_descend_for_read`).  Routing through the parent is
+        exact because probes ascend: a probe past the leaf's bound is
+        still at or above the parent's lower bound, so the parent's
+        pivots place it.
 
-        Advancing by leaf *content* rather than pivot bounds is safe for
-        reads: the separator between a leaf and its successor satisfies
-        ``leaf keys < sep <= successor.min_key``, so a probe below the
-        successor's smallest key can only live in (or be absent from) the
-        current leaf.  An empty chain successor (QuIT's lazy delete)
-        hides its range, so the walk gives up and descends.
-
-        Counts ``read_batches`` / ``read_chain_hits`` /
-        ``read_redescents`` (plus the fast-path read counters on the
-        variants); probes themselves are *not* added to
-        ``point_lookups`` — batch traffic is reported separately, as on
-        the write side.
+        Counts ``read_batches``, ``read_redescents`` (root descents) and
+        ``read_chain_hits`` (every other probe).  A descent adds
+        ``height`` node accesses and one leaf access, as
+        :meth:`_find_leaf` does; a move through the parent adds one of
+        each, as a chain step of :meth:`range_query` does.  Probes are
+        *not* added to ``point_lookups`` — batch traffic is reported
+        separately, as on the write side.
         """
         key_list = keys if isinstance(keys, list) else list(keys)
         n = len(key_list)
         out = [default] * n
         if not n:
             return out
+        descents = 0
+        moves = 0
+        leaf: Optional[LeafNode] = None
+        high: Optional[Key] = None  # the leaf's exclusive upper bound
+        parent: Optional[InternalNode] = None
+        phigh: Optional[Key] = None  # the parent's exclusive upper bound
+        for pos in sorted(range(n), key=key_list.__getitem__):
+            key = key_list[pos]
+            if leaf is None or (high is not None and key >= high):
+                if parent is not None and (phigh is None or key < phigh):
+                    pkeys = parent.keys
+                    idx = bisect_right(pkeys, key)
+                    leaf = parent.children[idx]  # type: ignore[assignment]
+                    high = pkeys[idx] if idx < len(pkeys) else phigh
+                    moves += 1
+                else:
+                    leaf, high, parent, phigh = self._descend_for_read(key)
+                    descents += 1
+                fill = leaf.fill
+                if leaf.gap != fill:
+                    leaf._compact()
+                skeys = leaf.skeys
+                svals = leaf.svals
+                idx = 0
+            idx = bisect_left(skeys, key, idx, fill)
+            if idx < fill and skeys[idx] == key:
+                out[pos] = svals[idx]
         stats = self.stats
         stats.read_batches += 1
-        order = sorted(range(n), key=key_list.__getitem__)
-        redescents = 0
-        fp_hits = 0
-        leaf: Optional[LeafNode] = None
-        lk: Any = []  # leaf key view (list or typed array)
-        lv: Any = []
-        ln = 0  # live-entry count of the current view
-        hi: Optional[Key] = None  # successor's smallest key (the horizon)
-        bounded = False  # True when ``hi`` is a real horizon
-        force = False  # degenerate leaf: every probe must reposition
-        for pos in order:
-            key = key_list[pos]
-            if leaf is None or force or (bounded and key >= hi):
-                # Reposition: chain-advance when the probe is near,
-                # otherwise the fast-path window, otherwise a descent.
-                node: Optional[LeafNode] = None
-                if leaf is not None and not force:
-                    cur = leaf
-                    for _ in range(_READ_CHAIN_LIMIT):
-                        nxt = cur.next
-                        if nxt is None:
-                            node = cur
-                            break
-                        nk, _, nn = nxt.view()
-                        if not nn:  # opaque empty leaf: cannot see past
-                            break
-                        if key < nk[0]:
-                            node = cur
-                            break
-                        cur = nxt
-                if node is not None:
-                    leaf = node
-                else:
-                    leaf = self._read_target_from_fp(key)
-                    if leaf is None:
-                        redescents += 1
-                        leaf = self._find_leaf(key)
-                    else:
-                        fp_hits += 1
-                lk, lv, ln = leaf.view()
-                force = False
-                nxt = leaf.next
-                if nxt is None:
-                    bounded = False
-                else:
-                    nk, _, nn = nxt.view()
-                    if nn:
-                        hi = nk[0]
-                        bounded = True
-                    elif ln:
-                        # Empty successor: no trustworthy horizon.  Any
-                        # probe beyond this leaf's own content re-descends
-                        # (the max key itself redundantly repositions —
-                        # harmless).
-                        hi = lk[ln - 1]
-                        bounded = True
-                    else:
-                        force = True
-            idx = bisect_left(lk, key, 0, ln)
-            if idx < ln and lk[idx] == key:
-                out[pos] = lv[idx]
-        stats.read_redescents += redescents
-        stats.read_chain_hits += n - redescents - fp_hits
+        stats.read_redescents += descents
+        stats.read_chain_hits += n - descents
+        stats.node_accesses += descents * self._height + moves
+        stats.leaf_accesses += descents + moves
         return out
 
-    def _read_target_from_fp(self, key: Key) -> Optional[LeafNode]:
-        """Leaf serving a point read for ``key`` straight from the
-        variant's fast-path pointer, or None when the window misses.
-        The classical tree has no such pointer."""
-        return None
+    def _descend_for_read(self, key: Key) -> _ReadCursor:
+        """Root-to-leaf descent for the batched reads, returning the
+        :data:`_ReadCursor` of the leaf that would contain ``key``.
+        Counts nothing; the callers do."""
+        node = self._root
+        parent: Optional[InternalNode] = None
+        high: Optional[Key] = None
+        phigh: Optional[Key] = None
+        while not node.is_leaf:
+            parent = node  # type: ignore[assignment]
+            pkeys = parent.keys
+            idx = bisect_right(pkeys, key)
+            phigh = high
+            if idx < len(pkeys):
+                high = pkeys[idx]
+            node = parent.children[idx]
+        return node, high, parent, phigh  # type: ignore[return-value]
 
     def _probe_leaf_for_read(
-        self, key: Key, hint: Optional[LeafNode] = None
-    ) -> LeafNode:
-        """Leaf that would contain ``key``, reusing ``hint`` from a
-        previous (smaller or equal) probe when the target is within
-        :data:`_READ_CHAIN_LIMIT` chain hops.
+        self, key: Key, cursor: Optional[_ReadCursor] = None
+    ) -> _ReadCursor:
+        """Per-probe form of :meth:`get_many`'s routing, for wrappers
+        (duplicates) that batch composite-key probes.
 
-        Only valid for *ascending* probe sequences where ``hint`` is the
-        leaf returned for the previous probe — the walk never moves left,
-        so an out-of-order probe would silently read the wrong leaf.
-        Shared by the wrappers (duplicates) that batch composite-key
-        probes; counts ``read_chain_hits`` / ``read_redescents``.
+        ``cursor`` is what this method returned for the previous probe;
+        the result's first item is the leaf that would contain ``key``.
+        Only valid for *ascending* probe sequences: routing never moves
+        left, so an out-of-order probe would silently read the wrong
+        leaf.  Counts like :meth:`get_many`, one ``read_chain_hits`` or
+        ``read_redescents`` per probe.
         """
         stats = self.stats
-        if hint is not None:
-            cur = hint
-            for _ in range(_READ_CHAIN_LIMIT):
-                nxt = cur.next
-                if nxt is None:
-                    stats.read_chain_hits += 1
-                    return cur
-                nk, _, nn = nxt.view()
-                if not nn:
-                    break
-                if key < nk[0]:
-                    stats.read_chain_hits += 1
-                    return cur
-                cur = nxt
+        if cursor is not None:
+            _, high, parent, phigh = cursor
+            if high is None or key < high:
+                stats.read_chain_hits += 1
+                return cursor
+            if parent is not None and (phigh is None or key < phigh):
+                pkeys = parent.keys
+                idx = bisect_right(pkeys, key)
+                stats.read_chain_hits += 1
+                stats.node_accesses += 1
+                stats.leaf_accesses += 1
+                return (
+                    parent.children[idx],  # type: ignore[return-value]
+                    pkeys[idx] if idx < len(pkeys) else phigh,
+                    parent,
+                    phigh,
+                )
         stats.read_redescents += 1
-        return self._find_leaf(key)
+        stats.node_accesses += self._height
+        stats.leaf_accesses += 1
+        return self._descend_for_read(key)
 
     def range_query(self, start: Key, end: Key) -> list[tuple[Key, Any]]:
         """All entries with ``start <= key < end`` in key order (§4.4).

@@ -116,10 +116,11 @@ class DuplicateKeyIndex:
         with ``keys`` (``default`` for absent keys).
 
         Probes are sorted and positioned left-to-right on the composite
-        ``(key, -1)`` floor via the tree's chain-reuse read primitive —
-        consecutive probes for nearby logical keys share one leaf
-        instead of opening one ``iter_from`` cursor (a full descent)
-        each.
+        ``(key, -1)`` floor via the tree's batched read routing
+        (:meth:`BPlusTree._probe_leaf_for_read`) — consecutive probes
+        for nearby logical keys share one leaf, and the next leaf comes
+        from the parent's pivots instead of one ``iter_from`` cursor (a
+        full descent) each.
         """
         key_list = keys if isinstance(keys, list) else list(keys)
         n = len(key_list)
@@ -129,12 +130,13 @@ class DuplicateKeyIndex:
         tree = self.tree
         tree.stats.read_batches += 1
         order = sorted(range(n), key=key_list.__getitem__)
-        hint = None
+        cursor = None
         for pos in order:
             key = key_list[pos]
             target = (key, -1)
-            hint = tree._probe_leaf_for_read(target, hint)
-            lk, lv, ln = hint.view()
+            cursor = tree._probe_leaf_for_read(target, cursor)
+            leaf = cursor[0]
+            lk, lv, ln = leaf.view()
             idx = bisect_left(lk, target, 0, ln)
             if idx < ln:
                 if lk[idx][0] == key:
@@ -142,7 +144,7 @@ class DuplicateKeyIndex:
                 continue
             # Every composite in this leaf sorts below (key, -1): the
             # floor entry, if any, starts the next non-empty leaf.
-            nxt = hint.next
+            nxt = leaf.next
             while nxt is not None and not nxt.size:
                 nxt = nxt.next
             if nxt is not None and nxt.min_key[0] == key:

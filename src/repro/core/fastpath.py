@@ -157,16 +157,6 @@ class FastPathTree(BPlusTree):
             return leaf.svals[idx]
         return default
 
-    def _read_target_from_fp(self, key: Key) -> Optional[LeafNode]:
-        """Serve a batched-read repositioning from the fast-path pointer
-        when the probe falls in the window — the whole group of probes
-        draining into that leaf skips the descent, not just one."""
-        if self._fast_path_accepts(key):
-            self.stats.read_fast_hits += 1
-            return self._fp.leaf
-        self.stats.read_fast_misses += 1
-        return None
-
     # ------------------------------------------------------------------
     # Batched ingest
     # ------------------------------------------------------------------

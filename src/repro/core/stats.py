@@ -57,16 +57,17 @@ class TreeStats:
         read_batches: ``get_many`` calls (one per probe batch).
         read_chain_hits: batched probes resolved without a root-to-leaf
             descent — served from the leaf the previous probe landed in,
-            or a chain successor within ``_READ_CHAIN_LIMIT`` hops.
+            or from a leaf reached through that leaf's parent pivots.
         read_redescents: root-to-leaf descents performed inside
-            ``get_many`` (including the batch's first positioning
-            descent; a fully chained batch counts exactly one).
-        read_fast_hits: point reads served straight from the fast-path
-            pointer's cached leaf because the probe key fell inside its
-            ``[fp_min, fp_max)`` window (read-side analogue of
-            ``fast_inserts``).
-        read_fast_misses: point reads that consulted the fast-path
-            window and missed, falling back to a descent.
+            ``get_many``: the batch's first positioning descent plus one
+            per probe past the current parent's key range (a batch that
+            stays under one parent counts exactly one).
+        read_fast_hits: per-key ``get`` calls served straight from the
+            fast-path pointer's cached leaf because the probe key fell
+            inside its ``[fp_min, fp_max)`` window (read-side analogue
+            of ``fast_inserts``; ``get_many`` never consults the window).
+        read_fast_misses: per-key ``get`` calls that consulted the
+            fast-path window and missed, falling back to a descent.
         scrub_checks: ``scrub()`` passes run over this tree.
         scrub_resets: fast-path/auxiliary pointers that ``scrub()``
             found inconsistent and reset (graceful degradation after

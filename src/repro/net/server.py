@@ -399,9 +399,7 @@ class QuitServer:
                 return protocol.ST_OK, 0, (True, value)
             if op == protocol.OP_GET_MANY:
                 keys, default = payload
-                return protocol.ST_OK, 0, list(
-                    backend.get_many(list(keys), default)
-                )
+                return protocol.ST_OK, 0, backend.get_many(keys, default)
             if op == protocol.OP_SCAN:
                 start, end, limit, exclusive_start = payload
                 limit = max(1, min(int(limit), _SCAN_LIMIT_MAX))

@@ -39,8 +39,8 @@ def _probe_batch(keys: list[int], seed: int = 13) -> list[int]:
     return batch
 
 
-def _loaded(cls, keys):
-    tree = cls(SMALL)
+def _loaded(cls, keys, config=SMALL):
+    tree = cls(config)
     for k in keys:
         tree.insert(k, k * 3)
     return tree
@@ -48,18 +48,17 @@ def _loaded(cls, keys):
 
 def _assert_read_counters(stats_diff: dict, n_probes: int) -> None:
     """Every probe in a ``get_many`` batch is accounted for exactly once
-    as a chain hit, a re-descent, or a fast-path window hit."""
+    as a chain hit or a re-descent; the batch never consults the
+    fast-path window."""
     assert stats_diff["read_batches"] == 1
-    accounted = (
-        stats_diff["read_chain_hits"]
-        + stats_diff["read_redescents"]
-        + stats_diff["read_fast_hits"]
+    assert (
+        stats_diff["read_chain_hits"] + stats_diff["read_redescents"]
+        == n_probes
     )
-    assert accounted == n_probes
-    # The batch's first positioning is either a descent or a fast-path
-    # window hit (a reverse-loaded fast-path tree caches the head leaf,
-    # which covers the smallest probe).
-    assert stats_diff["read_redescents"] + stats_diff["read_fast_hits"] >= 1
+    # The batch's first positioning is always a root descent.
+    assert stats_diff["read_redescents"] >= 1
+    assert stats_diff["read_fast_hits"] == 0
+    assert stats_diff["read_fast_misses"] == 0
 
 
 def _stats_diff(stats, before: dict) -> dict:
@@ -135,8 +134,10 @@ def test_get_many_after_deletes(any_tree_class):
 
 
 def test_get_many_fast_path_window_hits(fastpath_tree_class):
-    """Probes inside the cached fast-path leaf's window are served
-    without a descent and counted as read_fast_hits."""
+    """Probes inside the cached fast-path leaf's window: ``get_many``
+    answers them with one descent and no window check, since the batch
+    positions itself; per-key ``get`` serves them from the window
+    without a descent and counts read_fast_hits."""
     tree = fastpath_tree_class(SMALL)
     for k in range(200):
         tree.insert(k, k)
@@ -145,14 +146,14 @@ def test_get_many_fast_path_window_hits(fastpath_tree_class):
     in_window = list(fp_leaf.keys)
 
     before = tree.stats.as_dict()
-    # Descending probe order defeats the ascending chain walk, forcing
-    # each reposition through the fast-path window check.
     got = tree.get_many(list(reversed(in_window)))
     diff = _stats_diff(tree.stats, before)
     assert got == list(reversed(in_window))
-    assert diff["read_fast_hits"] >= 1
+    assert diff["read_redescents"] == 1
+    assert diff["read_chain_hits"] == len(in_window) - 1
+    assert diff["read_fast_hits"] == 0
 
-    # Per-key get() also takes the shortcut for in-window probes.
+    # Per-key get() takes the shortcut for in-window probes.
     before = tree.stats.as_dict()
     assert tree.get(in_window[-1]) == in_window[-1]
     diff = _stats_diff(tree.stats, before)
@@ -163,6 +164,141 @@ def test_get_many_fast_path_window_hits(fastpath_tree_class):
     before = tree.stats.as_dict()
     assert tree.get(-10) is None
     assert _stats_diff(tree.stats, before)["read_fast_misses"] == 1
+
+
+# ----------------------------------------------------------------------
+# get_many's parent routing: pivot edges and leaf states
+# ----------------------------------------------------------------------
+
+TINY = TreeConfig(leaf_capacity=4, internal_capacity=4)
+
+
+def _internal_levels(tree) -> list[list]:
+    """Internal nodes level by level, the leaves' parents last."""
+    levels = []
+    level = [tree.root]
+    while not level[0].is_leaf:
+        levels.append(level)
+        level = [child for node in level for child in node.children]
+    return levels
+
+
+def _pivot_probes(tree) -> list[int]:
+    """Every pivot of the leaves' parents and grandparents, each with
+    its two neighbours, shuffled with a few duplicates."""
+    levels = _internal_levels(tree)
+    assert len(levels) >= 3  # height >= 4: parents and grandparents
+    probes = [
+        pivot + delta
+        for level in levels[-2:]
+        for node in level
+        for pivot in node.keys
+        for delta in (-1, 0, 1)
+    ]
+    probes += probes[::7]
+    random.Random(8).shuffle(probes)
+    return probes
+
+
+def _assert_batch_matches_get(tree, probes, default="miss"):
+    expected = [tree.get(k, default) for k in probes]
+    before = tree.stats.as_dict()
+    assert tree.get_many(probes, default) == expected
+    _assert_read_counters(_stats_diff(tree.stats, before), len(probes))
+
+
+def test_get_many_at_pivot_edges(any_tree_class):
+    keys = random.Random(4).sample(range(0, 1_200, 2), 600)
+    tree = _loaded(any_tree_class, keys, TINY)
+    assert tree.height >= 4
+    edges = [min(keys) - 5, min(keys) - 1, max(keys) + 1, max(keys) + 50]
+    _assert_batch_matches_get(tree, _pivot_probes(tree) + edges + edges)
+
+
+def test_get_many_over_emptied_leaves(any_tree_class):
+    """A descending load leaves QuIT's pole on the head leaf with no
+    predecessor, and pole deletes skip eager rebalance, so emptying it
+    keeps an empty leaf in the tree; routing through the parents must
+    still place every probe around it."""
+    tree = _loaded(any_tree_class, list(range(1_198, -1, -2)), TINY)
+    for k in range(200, 700, 6):
+        assert tree.delete(k)
+    head = tree.head_leaf
+    for k in list(head.keys):
+        assert tree.delete(k)
+    if issubclass(any_tree_class, QuITTree):
+        assert head.size == 0 and head is tree.head_leaf
+    probes = _pivot_probes(tree) + list(range(-5, 1_210, 3))
+    _assert_batch_matches_get(tree, probes)
+    tree.validate(check_min_fill=False)
+
+
+def test_get_many_single_leaf_root(any_tree_class):
+    tree = _loaded(any_tree_class, [30, 10, 20], TINY)
+    assert tree.height == 1
+    _assert_batch_matches_get(tree, [20, 5, 30, 30, 25, 40, 10, 20])
+
+
+def test_get_many_typed_slab_after_bulk_load(any_tree_class):
+    tree = any_tree_class(TINY)
+    tree.bulk_load([(k, str(k)) for k in range(0, 900, 3)])
+    assert all(leaf.typed for leaf in tree.leaves())
+    probes = _pivot_probes(tree) + [-3, 9.0, 897, 898, 5_000]
+    _assert_batch_matches_get(tree, probes)
+    assert tree.get_many([9.0])[0] == "9"
+
+
+def test_probe_leaf_for_read_matches_find_leaf(any_tree_class):
+    """The per-probe routing the duplicates adapter uses lands every
+    ascending probe, pivots and their neighbours included, in the leaf
+    a root descent finds, and counts each probe once."""
+    keys = random.Random(4).sample(range(0, 1_200, 2), 600)
+    tree = _loaded(any_tree_class, keys, TINY)
+    probes = sorted(_pivot_probes(tree) + [-7, 1_300])
+    before = tree.stats.as_dict()
+    cursor = None
+    for key in probes:
+        cursor = tree._probe_leaf_for_read(key, cursor)
+        assert cursor[0] is tree._find_leaf(key, count=False), key
+    diff = _stats_diff(tree.stats, before)
+    assert diff["read_chain_hits"] + diff["read_redescents"] == len(probes)
+
+
+@pytest.mark.parametrize("cls,expected", [
+    (BPlusTree, (1, 273, 27, 171, 252)),
+    (QuITTree, (1, 283, 17, 130, 181)),
+])
+def test_get_many_counters_are_pinned(cls, expected):
+    # The BoDS stream of tests/test_point_lookup.py (2,000 keys into
+    # height-4 trees), then one batch of 300 seeded uniform probes.  A
+    # root descent counts height nodes and one leaf, a move through the
+    # parent one node and one leaf; the window is never consulted.
+    keys = [int(k) for k in generate_keys(2000, 0.05, 0.05, seed=7)]
+    tree = cls(TreeConfig(leaf_capacity=16, internal_capacity=16))
+    for k in keys:
+        tree.insert(k, k * 3)
+    assert tree.height == 4
+    rng = random.Random(11)
+    probes = [rng.randrange(-10, 2_010) for _ in range(300)]
+    before = tree.stats.as_dict()
+    got = tree.get_many(probes, -1)
+    diff = _stats_diff(tree.stats, before)
+    assert got == [p * 3 if 0 <= p < 2000 else -1 for p in probes]
+    assert (
+        diff["read_batches"],
+        diff["read_chain_hits"],
+        diff["read_redescents"],
+        diff["leaf_accesses"],
+        diff["node_accesses"],
+    ) == expected
+    # Each distinct leaf the probes land in is accessed exactly once,
+    # and each distinct parent is entered by exactly one descent.
+    touched = [tree._find_leaf(p, count=False) for p in probes]
+    assert diff["leaf_accesses"] == len({id(leaf) for leaf in touched})
+    assert diff["read_redescents"] == len(
+        {id(leaf.parent) for leaf in touched}
+    )
+    assert diff["read_fast_hits"] == diff["read_fast_misses"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -443,7 +579,9 @@ def test_duplicates_get_many_matches_per_key():
     before = idx.stats.as_dict()
     got = idx.get_many(probes, default="miss")
     assert got == expected
-    assert _stats_diff(idx.stats, before)["read_batches"] == 1
+    diff = _stats_diff(idx.stats, before)
+    assert diff["read_batches"] == 1
+    assert diff["read_chain_hits"] + diff["read_redescents"] == len(probes)
 
 
 def test_duplicates_get_many_after_deletes():
