@@ -42,6 +42,7 @@ from .harness import (
     ingest,
     make_tree,
     time_point_lookups,
+    time_point_lookups_alternating,
     time_range_queries,
     timed_ingest,
 )
@@ -272,20 +273,9 @@ def exp_fig10b(scale: Optional[BenchScale] = None) -> ExperimentResult:
         bt = timed_ingest("B+-tree", scale, keys)
         qt = timed_ingest("QuIT", scale, keys)
         targets = point_lookups(keys, scale.point_lookups, seed=scale.seed)
-        # Alternate single rounds (B, Q, then Q, B, ...) and keep each
-        # side's best, so a host-speed episode cannot land on one side.
-        # At least two rounds, so each side also runs once second.
-        trees = (bt.tree, qt.tree)
-        best = [float("inf"), float("inf")]
-        order = [0, 1]
-        for _ in range(max(2, scale.repeats)):
-            for side in order:
-                best[side] = min(
-                    best[side],
-                    time_point_lookups(trees[side], targets, repeats=1),
-                )
-            order.reverse()
-        bt_s, qt_s = best
+        bt_s, qt_s = time_point_lookups_alternating(
+            (bt.tree, qt.tree), targets, scale.repeats
+        )
         result.rows.append({
             "k_pct": k * 100,
             "btree_us": bt_s / scale.point_lookups * 1e6,

@@ -245,6 +245,28 @@ def time_point_lookups(
     return best
 
 
+def time_point_lookups_alternating(
+    trees: Sequence[Any], targets: Sequence[int], rounds: int = 2
+) -> list[float]:
+    """Best single-round point-lookup seconds for each of ``trees``.
+
+    The trees are timed in alternating single rounds (A, B, ..., then
+    ..., B, A) and each keeps its best, so a host-speed episode lands on
+    every side instead of on one whole batch.  At least two rounds, so
+    each side also runs once late.
+    """
+    best = [float("inf")] * len(trees)
+    order = list(range(len(trees)))
+    for _ in range(max(2, rounds)):
+        for side in order:
+            best[side] = min(
+                best[side],
+                time_point_lookups(trees[side], targets, repeats=1),
+            )
+        order.reverse()
+    return best
+
+
 def time_point_lookups_batched(
     tree: Any,
     targets: Sequence[int],

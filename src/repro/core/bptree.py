@@ -871,53 +871,22 @@ class BPlusTree:
             j = i
             while j < n and (high is None or run[j][0] < high):
                 j += 1
-            added_total += self._splice_into_leaf(
-                leaf, run[i:j], fill_factor
-            )
+            # The segment lies within the leaf's pivot range: one
+            # LeafNode.apply_run when it fits, else a rebuild into leaves
+            # packed to fill_factor.
+            seg_keys = [k for k, _ in run[i:j]]
+            seg_vals = [v for _, v in run[i:j]]
+            if leaf.size + len(seg_keys) <= self.config.leaf_capacity:
+                added = leaf.apply_run(seg_keys, seg_vals)
+                self._size += added
+            else:
+                added, _ = self._apply_run_overflow(
+                    leaf, seg_keys, seg_vals, fill_factor
+                )
+            added_total += added
             i = j
         self._after_bulk_splice()
         return added_total
-
-    def _splice_into_leaf(
-        self,
-        leaf: LeafNode,
-        segment: list[tuple[Key, Any]],
-        fill_factor: float,
-    ) -> int:
-        """Merge ``segment`` (sorted, within ``leaf``'s pivot range) into
-        ``leaf``, rebuilding it into packed leaves.  Returns new-key count.
-        """
-        added, _ = self._apply_run_segment(
-            leaf,
-            [k for k, _ in segment],
-            [v for _, v in segment],
-            fill_factor,
-        )
-        return added
-
-    def _apply_run_segment(
-        self,
-        leaf: LeafNode,
-        seg_keys: list[Key],
-        seg_vals: list[Any],
-        fill_factor: float = 1.0,
-    ) -> tuple[int, LeafNode]:
-        """Place a strictly-increasing segment (within ``leaf``'s pivot
-        range) into ``leaf`` in one motion.
-
-        When the segment fits, this is a single :meth:`LeafNode.apply_run`
-        (one-two bisects + one slice assignment).  On overflow
-        :meth:`_apply_run_overflow` rebuilds the merged result into leaves
-        packed to ``fill_factor``.
-
-        Returns ``(added, last_leaf)`` where ``last_leaf`` is the leaf
-        holding the segment's largest key after any rebuild.
-        """
-        if leaf.size + len(seg_keys) <= self.config.leaf_capacity:
-            added = leaf.apply_run(seg_keys, seg_vals)
-            self._size += added
-            return added, leaf
-        return self._apply_run_overflow(leaf, seg_keys, seg_vals, fill_factor)
 
     def _apply_run_overflow(
         self,
@@ -926,7 +895,8 @@ class BPlusTree:
         seg_vals: list[Any],
         fill_factor: float,
     ) -> tuple[int, LeafNode]:
-        """Overflow path of :meth:`_apply_run_segment`: merge ``leaf`` with
+        """Overflow path of a sorted-run segment that does not fit in
+        ``leaf`` (:meth:`bulk_insert_run`, :meth:`_insert_run`): merge it with
         the segment and rebuild the result into leaves packed to
         ``fill_factor`` — full right siblings are built directly,
         bulk-load style, instead of splitting repeatedly."""
@@ -1066,8 +1036,8 @@ class BPlusTree:
         """
         # Hot loop: locals are hoisted and the fits-in-leaf case (the vast
         # majority of segments) is inlined rather than routed through
-        # _apply_run_segment — per-segment call overhead is exactly the
-        # cost this path exists to amortize.
+        # a helper — per-segment call overhead is exactly the cost this
+        # path exists to amortize.
         cap = self.config.leaf_capacity
         added = 0
         i = 0

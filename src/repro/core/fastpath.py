@@ -59,7 +59,7 @@ class FastPathTree(BPlusTree):
         if self._fast_path_accepts(key):
             self.stats.fast_inserts += 1
             fp = self._fp
-            # ``accepts`` is False while the leaf is unset.
+            # The window test is False while the leaf is unset.
             leaf: LeafNode = fp.leaf  # type: ignore[assignment]
             # Slot-array fast path: an insert landing at the leaf's gap
             # cursor is two comparisons and two C-level stores — no
@@ -90,19 +90,37 @@ class FastPathTree(BPlusTree):
                     # gap-migrating insert.
                     self._size += 1
             else:
-                leaf, _, _ = self._leaf_insert(
-                    leaf, key, value, fp.low, fp.high
-                )
-            self._after_fast_insert(leaf, key)
+                self._leaf_insert(leaf, key, value, fp.low, fp.high)
         else:
             self._top_insert(key, value)
 
     def _fast_path_accepts(self, key: Key) -> bool:
-        """Whether the fast path may serve ``key`` (variants refine)."""
-        return self._fp.accepts(key)
+        """``low <= key < high`` over the leaf's pivot bounds (§4.2), open
+        where a bound is None; False while the leaf is unset.  The tail's
+        ``high`` is None by construction (a ``validate()`` invariant), so
+        its upper check is omitted.  Inlined: runs on every insert."""
+        fp = self._fp
+        if fp.leaf is None:
+            return False
+        low = fp.low
+        if low is not None and key < low:
+            return False
+        high = fp.high
+        return high is None or key < high
 
-    def _after_fast_insert(self, leaf: LeafNode, key: Key) -> None:
-        """Hook invoked after a fast-path insert lands in ``leaf``."""
+    def _pin(
+        self, leaf: LeafNode, low: Optional[Key], high: Optional[Key]
+    ) -> None:
+        """Point the fast path at ``leaf`` with window ``[low, high)`` (the
+        pole variants also reset their IKR bookkeeping here)."""
+        fp = self._fp
+        fp.leaf = leaf
+        fp.low = low
+        fp.high = high
+
+    def _pin_tail(self) -> None:
+        """Re-pin the fast path to the tail leaf (always a valid pin)."""
+        self._pin(self._tail, *self.bounds_of_leaf(self._tail))
 
     # ------------------------------------------------------------------
     # Fast-path-aware reads
@@ -179,48 +197,43 @@ class FastPathTree(BPlusTree):
 
         This is exactly lil's eager retargeting rule generalized to runs
         — the pointer lands where the last key of the run landed; the
-        tail and pole variants override it with their own pinning
-        policies.  O(height) once per run — amortized over the whole
-        run, unlike the per-key bookkeeping of ``insert``.
+        tail variant overrides it to stay on the tail.  For the pole it
+        is the batch analogue of ``bulk_load``'s pinning: a run's tail is
+        the in-order frontier by construction.  O(height) once per run —
+        amortized over the whole run, unlike the per-key bookkeeping of
+        ``insert``.
         """
-        fp = self._fp
-        fp.leaf = leaf
-        fp.low, fp.high = self.bounds_of_leaf(leaf)
+        self._pin(leaf, *self.bounds_of_leaf(leaf))
 
     # ------------------------------------------------------------------
     # Metadata upkeep on structural changes
     # ------------------------------------------------------------------
-
-    def _refresh_fp_bounds(self) -> None:
-        """Recompute the fast-path leaf's pivot bounds from the tree.
-
-        Used after deletes: borrows and merges move separators, so the
-        cached range may no longer bracket the leaf.  O(height).
-        """
-        leaf = self._fp.leaf
-        if leaf is None:
-            return
-        self._fp.low, self._fp.high = self.bounds_of_leaf(leaf)
 
     def _on_leaf_removed(self, leaf: LeafNode, merged_into: LeafNode) -> None:
         if self._fp.leaf is leaf:
             self._fp.leaf = merged_into
 
     def _after_delete(self) -> None:
-        self._refresh_fp_bounds()
+        """Recompute the fast-path leaf's pivot bounds from the tree.
+
+        Used after deletes: borrows and merges move separators, so the
+        cached range may no longer bracket the leaf.  A splice can split
+        the fast-path leaf outside the normal split hooks, so it ends
+        here too.  O(height).
+        """
+        leaf = self._fp.leaf
+        if leaf is None:
+            return
+        self._fp.low, self._fp.high = self.bounds_of_leaf(leaf)
+
+    _after_bulk_splice = _after_delete
 
     def bulk_load(
         self, items: Iterable[tuple[Key, Any]], fill_factor: float = 1.0
     ) -> None:
         """Bulk load, then re-pin the fast path to the new tail leaf."""
         super().bulk_load(items, fill_factor)
-        self._fp.leaf = self._tail
-        self._fp.low, self._fp.high = self.bounds_of_leaf(self._tail)
-
-    def _after_bulk_splice(self) -> None:
-        # A splice can split the fast-path leaf outside the normal split
-        # hooks, so the cached pivot bounds must be recomputed.
-        self._refresh_fp_bounds()
+        self._pin_tail()
 
     # ------------------------------------------------------------------
     # Scrubbing (post-recovery hygiene)
@@ -283,7 +296,7 @@ class FastPathTree(BPlusTree):
         unsafe = bool(issues)
         unsafe |= self._scrub_extra(report)
         if unsafe:
-            self._scrub_reset_fp()
+            self._pin_tail()
             report.repairs += 1
             self.stats.scrub_resets += 1
         return report
@@ -302,9 +315,3 @@ class FastPathTree(BPlusTree):
     def _scrub_extra(self, report: ScrubReport) -> bool:
         """Variant-specific scrub checks; True when a reset is needed."""
         return False
-
-    def _scrub_reset_fp(self) -> None:
-        """Re-pin the fast path to the tail leaf (always a valid pin)."""
-        fp = self._fp
-        fp.leaf = self._tail
-        fp.low, fp.high = self.bounds_of_leaf(self._tail)

@@ -35,9 +35,7 @@ class LilBPlusTree(FastPathTree):
             return
         # Fig. 4c-e: follow the entry into whichever half accepts it.
         if key >= split_key:
-            self._fp.leaf = right
-            self._fp.low = split_key
-            self._fp.high = high
+            self._pin(right, split_key, high)
         else:
             self._fp.low = low
             self._fp.high = split_key
@@ -51,10 +49,7 @@ class LilBPlusTree(FastPathTree):
     ) -> None:
         # Fig. 4b: a top-insert retargets lil to the accepting leaf; the
         # insert path threads the post-split pivot bounds through.
-        fp = self._fp
-        fp.leaf = leaf
-        fp.low = low
-        fp.high = high
+        self._pin(leaf, low, high)
 
     # Batched ingest (insert_many) needs no override here: the inherited
     # FastPathTree._after_insert_run — retarget to the leaf holding the

@@ -32,16 +32,6 @@ class FastPathState:
     low: Optional[Key] = None
     high: Optional[Key] = None
 
-    def accepts(self, key: Key) -> bool:
-        """Range test ``low <= key < high`` with open unbounded sides."""
-        if self.leaf is None:
-            return False
-        if self.low is not None and key < self.low:
-            return False
-        if self.high is not None and key >= self.high:
-            return False
-        return True
-
 
 @dataclass
 class PoleState(FastPathState):

@@ -16,7 +16,7 @@ never recovers the fast path.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Optional
 
 from .fastpath import FastPathTree
 from .ikr import ikr_threshold
@@ -46,23 +46,25 @@ class PoleBPlusTree(FastPathTree):
         return self._fp.next_candidate
 
     # ------------------------------------------------------------------
-    # Fast-path admission (Alg. 1 line 1)
+    # Re-pinning and the miss counter
     # ------------------------------------------------------------------
 
-    def _fast_path_accepts(self, key: Key) -> bool:
-        # pole_min <= key < pole_max, where the bounds are "the smallest
-        # and largest keys that can be inserted into pole" (§4.2) — the
-        # pivot bounds.  The upper check is omitted while the pole is the
-        # tail leaf (fp.high is None by construction there).  Inlined
-        # bound checks: this runs on every single insert.
+    def _pin(
+        self,
+        leaf: LeafNode,
+        low: Optional[Key],
+        high: Optional[Key],
+        prev: Optional[LeafNode] = None,
+    ) -> None:
+        """Re-pin the pole and restart its IKR bookkeeping: ``pole_prev``
+        becomes ``prev`` (default: the leaf's chain predecessor),
+        ``pole_next`` is forgotten and the miss counter restarts.  Used by
+        catch-up, stale-pole reset, ``bulk_load``, runs and scrub."""
+        super()._pin(leaf, low, high)
         fp = self._fp
-        if fp.leaf is None:
-            return False
-        low = fp.low
-        if low is not None and key < low:
-            return False
-        high = fp.high
-        return high is None or key < high
+        fp.prev = leaf.prev if prev is None else prev
+        fp.next_candidate = None
+        fp.fails = 0
 
     def _count_consecutive_miss(self) -> int:
         """Bump and return the consecutive-top-insert counter.
@@ -92,37 +94,19 @@ class PoleBPlusTree(FastPathTree):
         low: Optional[Key],
         high: Optional[Key],
     ) -> None:
+        """When the pole splits, advance it to ``right`` iff ``split_key``
+        (= ``r``, the smallest key of the new node) is not an outlier per
+        IKR."""
         if left is not self._fp.leaf:
             return
-        self._decide_pole_after_split(left, right, split_key, key, low, high)
-
-    def _decide_pole_after_split(
-        self,
-        left: LeafNode,
-        right: LeafNode,
-        split_key: Key,
-        key: Key,
-        low: Optional[Key],
-        high: Optional[Key],
-    ) -> None:
-        """Advance the pole to ``right`` iff ``split_key`` (= ``r``, the
-        smallest key of the new node) is not an outlier per IKR."""
-        fp = self._fp
         threshold = self._ikr_for_pole(left, extra=right.size)
         if threshold is None:
             # No usable pole_prev yet (initialization, §4.2): follow the
             # inserted entry, like the very first split of the root leaf.
-            if key >= split_key:
-                self._advance_pole(left, right, split_key, high)
-            else:
-                fp.low, fp.high = low, split_key
-                fp.next_candidate = right
-            return
-        if split_key <= threshold:
-            self._advance_pole(left, right, split_key, high)
+            advance = key >= split_key
         else:
-            fp.low, fp.high = low, split_key
-            fp.next_candidate = right
+            advance = split_key <= threshold
+        self._settle_pole(left, right, split_key, low, high, advance)
 
     def _ikr_for_pole(
         self, pole: LeafNode, extra: int = 0
@@ -151,22 +135,31 @@ class PoleBPlusTree(FastPathTree):
             # gracefully to its 50%-split / follow-the-entry behaviour.
             return None
 
-    def _advance_pole(
+    def _settle_pole(
         self,
         left: LeafNode,
         right: LeafNode,
         split_key: Key,
+        low: Optional[Key],
         high: Optional[Key],
+        advance: bool,
     ) -> None:
+        """Point the pole after ``left`` split off ``right`` at
+        ``split_key``: advance it to ``right``, or keep it on ``left`` and
+        remember ``right`` as the catch-up target (Alg. 1 lines 4-8)."""
         fp = self._fp
-        fp.prev = left
-        fp.leaf = right
-        fp.low = split_key
-        fp.high = high
-        # next_candidate is intentionally preserved: it is the outlier node
-        # bounding the pole from above, and remains the catch-up target
-        # after any number of advances underneath it.
-        self.stats.pole_updates += 1
+        if advance:
+            fp.prev = left
+            fp.leaf = right
+            fp.low = split_key
+            fp.high = high
+            # next_candidate is intentionally preserved: it is the outlier
+            # node bounding the pole from above, and remains the catch-up
+            # target after any number of advances underneath it.
+            self.stats.pole_updates += 1
+        else:
+            fp.low, fp.high = low, split_key
+            fp.next_candidate = right
 
     # ------------------------------------------------------------------
     # Catching up to predicted outliers (Alg. 1 lines 11-14)
@@ -195,29 +188,18 @@ class PoleBPlusTree(FastPathTree):
         )
         if (is_candidate or beyond) and pole is not None and pole.size:
             threshold = self._ikr_for_pole(pole)
-            if is_candidate and (threshold is None or key <= threshold):
-                self._catch_up_to(leaf, low, high)
-                return
-            # Generalized catch-up: the in-order stream crossed the pole's
-            # upper bound into the neighboring node and IKR judges the key
-            # non-outlier, so the fast path should follow it (§4.2,
+            # The marked outlier node is caught up to unless IKR rejects
+            # the key; the generalized catch-up — the in-order stream
+            # crossed the pole's upper bound into the neighboring node —
+            # needs IKR to positively judge the key a non-outlier (§4.2,
             # "catching up to previously marked outliers").
-            if beyond and threshold is not None and key <= threshold:
-                self._catch_up_to(leaf, low, high)
+            if (
+                is_candidate and (threshold is None or key <= threshold)
+            ) or (beyond and threshold is not None and key <= threshold):
+                self._pin(leaf, low, high, prev=pole)
+                self.stats.pole_catchups += 1
                 return
         self._note_top_insert_miss(leaf, key, low, high)
-
-    def _catch_up_to(
-        self, leaf: LeafNode, low: Optional[Key], high: Optional[Key]
-    ) -> None:
-        fp = self._fp
-        fp.prev = fp.leaf
-        fp.leaf = leaf
-        fp.low = low
-        fp.high = high
-        fp.next_candidate = None
-        fp.fails = 0
-        self.stats.pole_catchups += 1
 
     def _note_top_insert_miss(
         self,
@@ -229,27 +211,6 @@ class PoleBPlusTree(FastPathTree):
         """Hook: a top-insert bypassed the fast path entirely.  The plain
         pole tree only counts it; QuIT adds the reset strategy."""
         self._count_consecutive_miss()
-
-    # ------------------------------------------------------------------
-    # Batched ingest
-    # ------------------------------------------------------------------
-
-    def _after_insert_run(self, leaf: LeafNode) -> None:
-        """Re-pin the pole to the leaf holding the run's tail.
-
-        A per-key top-insert must not move the pole (it may be an
-        outlier), but a run's tail is the in-order frontier by
-        construction — an outlier that broke the previous run starts its
-        own run and the detector folds the stream back into order at the
-        next ascent, so pinning to the tail is the batch analogue of the
-        post-``bulk_load`` pinning.
-        """
-        fp = self._fp
-        fp.prev = leaf.prev
-        fp.leaf = leaf
-        fp.low, fp.high = self.bounds_of_leaf(leaf)
-        fp.next_candidate = None
-        fp.fails = 0
 
     # ------------------------------------------------------------------
     # Scrubbing
@@ -290,14 +251,6 @@ class PoleBPlusTree(FastPathTree):
             unsafe = True
         return unsafe
 
-    def _scrub_reset_fp(self) -> None:
-        """Re-pin pole (and its IKR references) to the tail leaf."""
-        super()._scrub_reset_fp()
-        fp = self._fp
-        fp.prev = self._tail.prev
-        fp.next_candidate = None
-        fp.fails = 0
-
     # ------------------------------------------------------------------
     # Structural upkeep
     # ------------------------------------------------------------------
@@ -310,17 +263,3 @@ class PoleBPlusTree(FastPathTree):
             fp.prev = merged_into
         if fp.next_candidate is leaf:
             fp.next_candidate = None
-
-    def bulk_load(
-        self,
-        items: Iterable[tuple[Key, Any]],
-        fill_factor: float = 1.0,
-    ) -> None:
-        """Bulk load, then re-pin pole (and pole_prev) to the tail."""
-        super().bulk_load(items, fill_factor)
-        fp = self._fp
-        fp.leaf = self._tail
-        fp.prev = self._tail.prev
-        fp.low, fp.high = self.bounds_of_leaf(self._tail)
-        fp.next_candidate = None
-        fp.fails = 0

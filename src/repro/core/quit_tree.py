@@ -99,21 +99,18 @@ class QuITTree(PoleBPlusTree):
             pole.position_first_greater(threshold),
             self._in_order_run_length(pole, prev),
         )
-        if split_pos > half:
+        advance = split_pos > half
+        if advance:
             # Few outliers: split at l-1, the new (nearly empty) node takes
             # one non-outlier plus the outliers and becomes the pole.
             split_pos = min(split_pos - 1, pole.size - 1)
-            right, split_key = self._do_leaf_split(pole, split_pos)
-            self.stats.variable_splits += 1
-            self._advance_pole(pole, right, split_key, high)
         else:
             # Mostly outliers: ship all of them to the new node; the pole
             # stays and regains space for future fast inserts.
             split_pos = max(split_pos, 1)
-            right, split_key = self._do_leaf_split(pole, split_pos)
-            self.stats.variable_splits += 1
-            fp.low, fp.high = low, split_key
-            fp.next_candidate = right
+        right, split_key = self._do_leaf_split(pole, split_pos)
+        self.stats.variable_splits += 1
+        self._settle_pole(pole, right, split_key, low, high, advance)
         if key >= split_key:
             return right, split_key, high
         return pole, low, split_key
@@ -186,19 +183,9 @@ class QuITTree(PoleBPlusTree):
         high: Optional[Key],
     ) -> None:
         if self._count_consecutive_miss() >= self.config.reset_after:
-            self._reset_pole_to(leaf, low, high)
-
-    def _reset_pole_to(
-        self, leaf: LeafNode, low: Optional[Key], high: Optional[Key]
-    ) -> None:
-        fp = self._fp
-        fp.leaf = leaf
-        fp.prev = leaf.prev
-        fp.low = low
-        fp.high = high
-        fp.next_candidate = None
-        fp.fails = 0
-        self.stats.pole_resets += 1
+            # Re-pin the pole to the leaf that took the latest insert.
+            self._pin(leaf, low, high)
+            self.stats.pole_resets += 1
 
     # ------------------------------------------------------------------
     # Deletes (§4.4)
@@ -212,8 +199,6 @@ class QuITTree(PoleBPlusTree):
     def _on_entry_deleted(self, leaf: LeafNode, key: Key) -> None:
         fp = self._fp
         if leaf is fp.leaf and leaf.size == 0 and fp.prev is not None:
-            # The pole just emptied: fall back to pole_prev.
-            fp.leaf = fp.prev
-            fp.prev = fp.leaf.prev
-            fp.next_candidate = None
-            fp.fails = 0
+            # The pole just emptied: fall back to pole_prev.  The window
+            # is recomputed once the delete finishes (_after_delete).
+            self._pin(fp.prev, fp.low, fp.high)

@@ -17,18 +17,12 @@ from typing import Optional
 
 from .fastpath import FastPathTree
 from .node import Key, LeafNode
-from .stats import ScrubReport
 
 
 class TailBPlusTree(FastPathTree):
     """B+-tree whose fast path is pinned to the tail (rightmost) leaf."""
 
     name = "tail-B+-tree"
-
-    def _fast_path_accepts(self, key: Key) -> bool:
-        # The tail has no upper bound; only the lower pivot bound matters.
-        fp = self._fp
-        return fp.leaf is not None and (fp.low is None or key >= fp.low)
 
     def _after_leaf_split(
         self,
@@ -42,32 +36,25 @@ class TailBPlusTree(FastPathTree):
         # _do_leaf_split already advanced self._tail when the tail split;
         # re-pin the fast path to the (possibly new) tail leaf.
         if right is self._tail:
-            self._fp.leaf = right
-            self._fp.low = split_key
-            self._fp.high = None
+            self._pin(right, split_key, None)
 
     def _after_delete(self) -> None:
-        # Merges may have replaced the tail; keep the pin on the tail.
-        self._fp.leaf = self._tail
-        self._refresh_fp_bounds()
-        self._fp.high = None
+        # Merges, splices and run rebuilds may each replace or grow the
+        # tail; the pin never follows anything but the tail.
+        self._pin_tail()
 
-    def _after_bulk_splice(self) -> None:
-        # A splice may have appended new leaves past the old tail.
-        self._fp.leaf = self._tail
-        self._refresh_fp_bounds()
-        self._fp.high = None
+    _after_bulk_splice = _after_delete
 
     def _after_insert_run(self, leaf: LeafNode) -> None:
-        # The tail pin never follows the run; a run-driven rebuild may
-        # have grown new tail leaves, so re-derive the pin and its bound.
-        self._fp.leaf = self._tail
-        self._refresh_fp_bounds()
-        self._fp.high = None
+        self._pin_tail()
 
-    def _scrub_extra(self, report: ScrubReport) -> bool:
-        # The tail variant's one extra invariant: the pin *is* the tail.
+    def _window_issues(self) -> list[str]:
+        """The shared window invariant plus the tail's own: the pin *is*
+        the tail leaf, whose window is unbounded above (which lets the
+        shared window test omit the upper check, §2)."""
+        issues = super()._window_issues()
         if self._fp.leaf is not self._tail:
-            report.issues.append("fast-path pin is not the tail leaf")
-            return True
-        return False
+            issues.append("fast-path pin is not the tail leaf")
+        if self._fp.high is not None:
+            issues.append("tail window has an upper bound")
+        return issues

@@ -283,12 +283,17 @@ class TestShapes:
             assert rows["QuIT"]["read_cost_norm"] < 1.3
             assert rows["QuIT"]["bytes_per_entry_norm"] < 0.9
             assert rows["QuIT"]["tuning_knobs"] == 0
-            # tail: no awareness at K=5%; SWARE: most knobs, most code.
+            # tail: no awareness at K=5%; SWARE: most knobs, most code —
+            # QuIT gets its awareness at lower design complexity.
             assert rows["tail-B+-tree"]["sortedness_awareness_pct"] < 30
             assert rows["SWARE"]["tuning_knobs"] > 0
             assert (
                 rows["SWARE"]["complexity_loc"]
                 > rows["tail-B+-tree"]["complexity_loc"]
+            )
+            assert (
+                rows["QuIT"]["complexity_loc"]
+                < rows["SWARE"]["complexity_loc"]
             )
 
         check_with_retry(results, "fig1b", check)
@@ -311,7 +316,7 @@ class TestFig10bTiming:
         """Fig. 10b times the two trees in alternating single rounds
         (B, Q, then Q, B, ...), so a host-speed episode lands on both
         sides instead of on one whole batch."""
-        from repro.bench import experiments
+        from repro.bench import experiments, harness
         from repro.core import QuITTree
 
         calls = []
@@ -321,7 +326,7 @@ class TestFig10bTiming:
                           repeats))
             return 1.0 if isinstance(tree, QuITTree) else 2.0
 
-        monkeypatch.setattr(experiments, "time_point_lookups", fake_timer)
+        monkeypatch.setattr(harness, "time_point_lookups", fake_timer)
         scale = BenchScale(
             n=500, leaf_capacity=16, point_lookups=20, range_lookups=2,
             repeats=3, seed=7,
@@ -332,3 +337,30 @@ class TestFig10bTiming:
             ("B", 1), ("Q", 1), ("Q", 1), ("B", 1), ("B", 1), ("Q", 1),
         ] * rounds
         assert [row["normalized"] for row in result.rows] == [0.5] * rounds
+
+
+class TestFig1bTiming:
+    def test_baseline_is_timed_in_the_same_alternating_rounds(
+        self, monkeypatch
+    ):
+        """Fig. 1b times the B+-tree baseline and all four designs in
+        the same alternating single rounds, so ``read_cost_norm`` does
+        not hinge on one early baseline measurement."""
+        from repro.bench import fig1b, harness
+
+        calls = []
+
+        def fake_timer(tree, targets, repeats=2):
+            calls.append((type(tree).__name__, repeats))
+            return 2.0 if type(tree).__name__ == "BPlusTree" else 1.0
+
+        monkeypatch.setattr(harness, "time_point_lookups", fake_timer)
+        scale = BenchScale(
+            n=500, leaf_capacity=16, point_lookups=20, range_lookups=2,
+            repeats=1, seed=7,
+        )
+        result = fig1b.exp_fig1b(scale)
+        order = ["BPlusTree", "TailBPlusTree", "SABPlusTree",
+                 "LilBPlusTree", "QuITTree"]
+        assert calls == [(name, 1) for name in order + order[::-1]]
+        assert [row["read_cost_norm"] for row in result.rows] == [0.5] * 4

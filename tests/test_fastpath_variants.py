@@ -1,11 +1,14 @@
 """Behavioural tests for the tail / lil fast paths (§2-§3)."""
 
+import pytest
+
 from repro.core import (
     BPlusTree,
     LilBPlusTree,
     TailBPlusTree,
     TreeConfig,
 )
+from repro.core.bptree import TreeInvariantError
 from repro.sortedness import generate_keys
 
 from conftest import validate_tree
@@ -28,6 +31,33 @@ class TestTailTree:
 
     def test_fast_path_points_at_tail(self):
         tree = ingest(TailBPlusTree, range(200))
+        assert tree.fast_path_leaf is tree.tail_leaf
+
+    def test_bounded_tail_window_fails_validate_and_scrub_resets(self):
+        # The tail's window is unbounded above by construction, which is
+        # what lets the shared window test stand in for a lower-bound-only
+        # check; an upper bound is a checked invariant violation.
+        tree = ingest(TailBPlusTree, range(200))
+        assert tree.check() == []
+        tree._fp.high = 10_000
+        assert tree.check() == ["tail window has an upper bound"]
+        with pytest.raises(TreeInvariantError):
+            tree.validate()
+        report = tree.scrub()
+        assert "tail window has an upper bound" in report.issues
+        assert tree.stats.scrub_resets == 1
+        assert tree.fast_path_bounds == (
+            tree.bounds_of_leaf(tree.tail_leaf)[0], None
+        )
+        assert tree.check() == []
+
+    def test_pin_off_the_tail_fails_validate(self):
+        tree = ingest(TailBPlusTree, range(200))
+        head = tree._head
+        tree._fp.leaf = head
+        tree._fp.low, tree._fp.high = tree.bounds_of_leaf(head)
+        assert "fast-path pin is not the tail leaf" in tree.check()
+        assert not tree.scrub().clean
         assert tree.fast_path_leaf is tree.tail_leaf
 
     def test_below_bound_goes_top(self):

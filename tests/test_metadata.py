@@ -1,33 +1,50 @@
 """Tests for fast-path metadata structures and the Table 1 digest."""
 
+import pytest
+
+from repro.core import (
+    LilBPlusTree,
+    PoleBPlusTree,
+    QuITTree,
+    TailBPlusTree,
+    TreeConfig,
+)
 from repro.core.metadata import (
     METADATA_FIELDS,
-    FastPathState,
     PoleState,
     extra_metadata_bytes,
     metadata_bytes,
 )
-from repro.core.node import LeafNode
 
 
-class TestFastPathState:
-    def test_empty_rejects(self):
-        assert not FastPathState().accepts(5)
+@pytest.fixture(params=[TailBPlusTree, LilBPlusTree, PoleBPlusTree,
+                        QuITTree], ids=lambda cls: cls.name)
+def fp_tree(request):
+    return request.param(TreeConfig(leaf_capacity=8, internal_capacity=8))
 
-    def test_unbounded(self):
-        state = FastPathState(leaf=LeafNode())
-        assert state.accepts(-1_000_000)
-        assert state.accepts(1_000_000)
 
-    def test_lower_bound(self):
-        state = FastPathState(leaf=LeafNode(), low=10)
-        assert not state.accepts(9)
-        assert state.accepts(10)
+class TestFastPathAccepts:
+    """``_fast_path_accepts`` is the one ``[low, high)`` window test every
+    fast-path variant shares."""
 
-    def test_upper_bound_exclusive(self):
-        state = FastPathState(leaf=LeafNode(), low=0, high=20)
-        assert state.accepts(19)
-        assert not state.accepts(20)
+    def test_empty_rejects(self, fp_tree):
+        fp_tree._fp.leaf = None
+        assert not fp_tree._fast_path_accepts(5)
+
+    def test_unbounded(self, fp_tree):
+        fp_tree._fp.low = fp_tree._fp.high = None
+        assert fp_tree._fast_path_accepts(-1_000_000)
+        assert fp_tree._fast_path_accepts(1_000_000)
+
+    def test_lower_bound(self, fp_tree):
+        fp_tree._fp.low, fp_tree._fp.high = 10, None
+        assert not fp_tree._fast_path_accepts(9)
+        assert fp_tree._fast_path_accepts(10)
+
+    def test_upper_bound_exclusive(self, fp_tree):
+        fp_tree._fp.low, fp_tree._fp.high = 0, 20
+        assert fp_tree._fast_path_accepts(19)
+        assert not fp_tree._fast_path_accepts(20)
 
 
 class TestPoleState:
