@@ -78,7 +78,7 @@ def main() -> None:
             )
             results[policy] = seconds
             if policy == "group":
-                mean = tree.stats.wal_group_batch_mean
+                mean = wal.group_batch_records / wal.group_batches
                 print(
                     f"             {wal.group_batches:,} batches, "
                     f"mean {mean:.1f} records/fsync "

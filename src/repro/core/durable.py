@@ -175,9 +175,6 @@ class DurableTree:
         #: degrade the facade as a unit.  Mutations consult it first;
         #: reads never do.
         self.health = HealthMonitor(name=self.directory.name or "durable")
-        #: Backref set by an attached Scrubber so ``stats`` can mirror
-        #: the scrub counters; None when no scrubber watches this tree.
-        self.scrubber: Optional[Any] = None
         self.wal = WriteAheadLog(
             self.directory / WAL_DIRNAME,
             fsync=fsync,
@@ -323,28 +320,10 @@ class DurableTree:
 
     @property
     def stats(self) -> TreeStats:
-        """Tree counters with the WAL's durability counters mirrored in.
-
-        The WAL tracks its own totals; mirroring them onto the wrapped
-        tree's :class:`TreeStats` keeps one observability surface for
-        benchmarks and tests (``stats.wal_group_batch_mean`` etc.).
-        """
-        stats = self.tree.stats
-        stats.wal_group_batches = self.wal.group_batches
-        stats.wal_group_batch_records = self.wal.group_batch_records
-        stats.wal_group_batch_max = self.wal.group_batch_max
-        stats.wal_unsynced_acks = self.wal.unsynced_acks
-        stats.health_retries = self.health.retries
-        stats.health_degradations = self.health.degradations
-        stats.health_read_only_trips = self.health.read_only_trips
-        stats.health_recoveries = self.health.recoveries
-        scrubber = self.scrubber
-        if scrubber is not None:
-            stats.scrub_cycles = scrubber.cycles
-            stats.scrub_corruptions = scrubber.corruptions
-            stats.scrub_quarantines = scrubber.quarantines
-            stats.scrub_peer_repairs = scrubber.peer_repairs
-        return stats
+        """The wrapped tree's counters.  The WAL, health and scrub
+        counters live on their owners: ``wal``, ``health`` and the
+        attached :class:`~repro.core.scrubber.Scrubber`."""
+        return self.tree.stats
 
     def items(self) -> Iterable[tuple[Key, Any]]:
         return self.tree.items()

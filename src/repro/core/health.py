@@ -183,8 +183,7 @@ class HealthMonitor:
 
     Shared between a :class:`~repro.core.durable.DurableTree` and its
     WAL so that a retry exhausted anywhere on the write path flips the
-    whole tree, and mirrored into ``TreeStats`` as the ``health_*``
-    counters.
+    whole tree.
     """
 
     def __init__(self, name: str = "durable") -> None:

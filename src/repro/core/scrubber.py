@@ -156,7 +156,6 @@ class Scrubber:
         """
         with self._lock:
             durable = self._provider()
-            durable.scrubber = self
             report = ScrubCycleReport(cycle=self.cycles + 1)
             if full:
                 self._cursor_seq = 0

@@ -86,32 +86,6 @@ class TreeStats:
         typed_demotions: typed key slabs demoted back to object lists
             because a non-conforming key arrived (type change or int64
             overflow).
-        wal_group_batches: group-commit batches the WAL flusher has
-            fsynced (mirrored from the WAL by ``DurableTree.stats``).
-        wal_group_batch_records: records across all those batches;
-            ``wal_group_batch_mean`` derives the mean batch size — the
-            fsync amortization factor.
-        wal_group_batch_max: largest single group-commit batch.
-        wal_unsynced_acks: acknowledgements handed out before their
-            bytes were fsynced (``fsync="interval"``/``"none"`` only):
-            the size of the durability loss window.  Always 0 under
-            ``"always"`` and ``"group"``.
-        health_retries: transient write-path I/O faults retried
-            (mirrored from the tree's ``HealthMonitor``).
-        health_degradations: HEALTHY→DEGRADED transitions (first retry
-            of an episode).
-        health_read_only_trips: times exhausted retries degraded the
-            tree to read-only.
-        health_recoveries: explicit heals (``restore()`` after a
-            successful checkpoint/repair) out of a degraded state.
-        scrub_cycles: background scrubber verification cycles run
-            (mirrored from the attached ``Scrubber``, if any).
-        scrub_corruptions: corrupt artifacts (WAL segments/snapshots)
-            the scrubber detected.
-        scrub_quarantines: corrupt artifacts copied into the
-            ``quarantine/`` directory as evidence before repair.
-        scrub_peer_repairs: corruptions healed by re-fetching state
-            from the replication peer.
     """
 
     fast_inserts: int = 0
@@ -148,25 +122,6 @@ class TreeStats:
     gap_redistributions: int = 0
     typed_leaves: int = 0
     typed_demotions: int = 0
-    wal_group_batches: int = 0
-    wal_group_batch_records: int = 0
-    wal_group_batch_max: int = 0
-    wal_unsynced_acks: int = 0
-    health_retries: int = 0
-    health_degradations: int = 0
-    health_read_only_trips: int = 0
-    health_recoveries: int = 0
-    scrub_cycles: int = 0
-    scrub_corruptions: int = 0
-    scrub_quarantines: int = 0
-    scrub_peer_repairs: int = 0
-
-    @property
-    def wal_group_batch_mean(self) -> float:
-        """Mean group-commit batch size (0.0 before the first batch)."""
-        if not self.wal_group_batches:
-            return 0.0
-        return self.wal_group_batch_records / self.wal_group_batches
 
     @property
     def inserts(self) -> int:

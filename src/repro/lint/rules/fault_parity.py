@@ -1,21 +1,23 @@
 """fault-parity: fault sites and the registry must agree exactly.
 
-``repro.testing.faults`` registers every site in three tuples:
-``CONTROL_SITES`` (reached through ``faults.fire("x")``) and
-``IO_WRITE_SITES``/``IO_READ_SITES`` (reached through the disk shims,
-``faults.write("io.x", ...)`` and friends).  Three drift modes rot the
-fault-injection coverage that registry promises:
+``repro.testing.faults`` registers every site in four tuples:
+``CONTROL_SITES`` (reached through ``faults.fire("x")``),
+``LINK_SITES`` (reached through ``faults.link("repl.transport.x")``)
+and ``IO_WRITE_SITES``/``IO_READ_SITES`` (reached through the disk
+shims, ``faults.write("io.x", ...)`` and friends).  Three drift modes
+rot the fault-injection coverage that registry promises:
 
 * a call whose site is *not* registered can never be armed — the site
   is untestable;
 * a registered site that no call of its form carries is dead weight —
   sweeps "cover" a site that no longer exists;
-* a call of the wrong form — ``fire`` on an ``io.*`` site, or a shim on
-  a control-flow site — can never raise the kinds its site permits.
+* a call of the wrong form — ``fire`` on an ``io.*`` or link site, or
+  a shim on a control-flow site — can never raise the kinds its site
+  permits.
 
 All three are checked from the AST alone.  Non-literal site names are
-flagged too, since they defeat static coverage accounting.  Shim calls
-count only when the receiver is literally named ``faults``
+flagged too, since they defeat static coverage accounting.  Shim and
+``link`` calls count only when the receiver is literally named ``faults``
 (``fh.write`` / ``os.replace`` must not match).
 """
 
@@ -33,6 +35,7 @@ REGISTRY_STEM = "faults"
 #: Registry constant -> the call form its sites are reached through.
 REGISTRY_FORMS: Dict[str, str] = {
     "CONTROL_SITES": "fire",
+    "LINK_SITES": "link",
     "IO_WRITE_SITES": "shim",
     "IO_READ_SITES": "shim",
 }
@@ -40,7 +43,11 @@ REGISTRY_FORMS: Dict[str, str] = {
 #: The shim surface: every fault-injectable disk operation.
 SHIM_ATTRS = frozenset({"write", "fsync", "replace", "read_bytes"})
 
-_FORM_TEXT = {"fire": "faults.fire()", "shim": "a faults I/O shim"}
+_FORM_TEXT = {
+    "fire": "faults.fire()",
+    "link": "faults.link()",
+    "shim": "a faults I/O shim",
+}
 
 
 def _string_constants(node: ast.AST) -> Optional[List[ast.Constant]]:
@@ -84,7 +91,8 @@ def _find_registry(
 def _iter_calls(
     project: Project,
 ) -> Iterator[Tuple[SourceFile, ast.Call, str]]:
-    """Every ``fire``/shim call outside the registry, with its form."""
+    """Every ``fire``/``link``/shim call outside the registry, with its
+    form."""
     for src in project.files:
         if src.stem == REGISTRY_STEM:
             continue  # the registry module's own plumbing
@@ -98,17 +106,19 @@ def _iter_calls(
                 if func.attr == "fire":
                     yield src, node, "fire"
                 elif (
-                    func.attr in SHIM_ATTRS
-                    and isinstance(func.value, ast.Name)
+                    isinstance(func.value, ast.Name)
                     and func.value.id == REGISTRY_STEM
                 ):
-                    yield src, node, "shim"
+                    if func.attr == "link":
+                        yield src, node, "link"
+                    elif func.attr in SHIM_ATTRS:
+                        yield src, node, "shim"
 
 
 @register(
     RULE,
-    "every faults.fire/shim site literal must be registered for its call "
-    "form, and every registered site must be reached",
+    "every faults.fire/link/shim site literal must be registered for its "
+    "call form, and every registered site must be reached",
 )
 def check(project: Project) -> List[Finding]:
     registry = _find_registry(project)

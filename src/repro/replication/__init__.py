@@ -31,7 +31,6 @@ from .transport import (
     ReplicationTransport,
     SnapshotPayload,
     StaleEpochError,
-    TransportChaos,
     TransportError,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "ReplicationTransport",
     "SnapshotPayload",
     "StaleEpochError",
-    "TransportChaos",
     "TransportError",
     "write_epoch",
 ]

@@ -11,23 +11,17 @@ and everything above it — :class:`~repro.replication.replica.Replica`,
 :class:`~repro.replication.coordinator.FailoverCoordinator` — is
 unchanged.
 
-Fault injection comes in two flavours, both living here so every
-transport failure mode is exercised through the same seam:
-
-* **fault sites** — ``repl.transport.drop`` / ``delay`` / ``reorder``
-  and ``repl.snapshot_fetch`` fire on every call; arming one with
-  ``kind="raise"`` turns that call into a deterministic failure (the
-  replication layer treats :class:`~repro.testing.faults.FaultError`
-  exactly like a :class:`TransportError`).
-* **chaos knobs** — :class:`TransportChaos` drives *probabilistic*
-  drops (empty response, cursor unmoved), delays (only a prefix of the
-  batch is delivered), and reorder/duplicate delivery (the previous
-  batch is served again, so replicas must deduplicate by position).
+Link faults go through the one registry, :mod:`repro.testing.faults`:
+``fetch_records`` reaches the link sites ``repl.transport.drop`` /
+``delay`` / ``reorder`` (dropped, partial and replayed delivery, so
+replicas must deduplicate by position) and ``fetch_snapshot`` fires
+``repl.snapshot_fetch``.  The replication layer treats an injected
+:class:`~repro.testing.faults.FaultError` exactly like a
+:class:`TransportError`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -117,23 +111,6 @@ class ReplicationTransport:
         raise NotImplementedError
 
 
-@dataclass
-class TransportChaos:
-    """Probabilistic link faults for :class:`InProcessTransport`.
-
-    All probabilities are per ``fetch_records`` call, evaluated on a
-    seeded private RNG so chaos schedules replay deterministically.
-    """
-
-    drop_probability: float = 0.0
-    delay_probability: float = 0.0
-    duplicate_probability: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        self.rng = random.Random(self.seed)
-
-
 class InProcessTransport(ReplicationTransport):
     """Reference transport: direct calls into a same-process primary.
 
@@ -143,15 +120,9 @@ class InProcessTransport(ReplicationTransport):
     network implementation.
     """
 
-    def __init__(
-        self, primary: "Primary", *, chaos: Optional[TransportChaos] = None
-    ) -> None:
+    def __init__(self, primary: "Primary") -> None:
         self.primary = primary
-        self.chaos = chaos
         self.partitioned = False
-        self.drops = 0
-        self.delays = 0
-        self.duplicates = 0
         self._last_batch: Optional[FetchResult] = None
 
     # -- link state ----------------------------------------------------
@@ -188,50 +159,40 @@ class InProcessTransport(ReplicationTransport):
         max_bytes: int = 1 << 20,
     ) -> FetchResult:
         self._check_link()
-        faults.fire("repl.transport.drop")
-        chaos = self.chaos
-        if chaos is not None and chaos.rng.random() < chaos.drop_probability:
+        if faults.link("repl.transport.drop") is not None:
             # Lost response: the replica's cursor stays put and it
             # simply retries later.
-            self.drops += 1
-            tail = self.primary.tail_position()
             return FetchResult(
-                records=[], position=position, epoch=self.primary.epoch,
-                tail=tail, lag_bytes=0, truncated=False,
+                position=position, epoch=self.primary.epoch,
+                tail=self.primary.tail_position(),
             )
-        faults.fire("repl.transport.reorder")
+        last = self._last_batch
         if (
-            chaos is not None
-            and self._last_batch is not None
-            and self._last_batch.records
-            and chaos.rng.random() < chaos.duplicate_probability
+            last is not None
+            and last.records
+            and faults.link("repl.transport.reorder") is not None
         ):
             # Duplicate delivery (a retried request whose first answer
             # was not lost after all): serve the previous batch again.
             # The replica must deduplicate by position.
-            self.duplicates += 1
-            return self._last_batch
+            return last
         result = self.primary.fetch_records(
             position, max_records=max_records, max_bytes=max_bytes
         )
-        faults.fire("repl.transport.delay")
-        if (
-            chaos is not None
-            and len(result.records) > 1
-            and chaos.rng.random() < chaos.delay_probability
-        ):
-            # Slow link: only a prefix arrives this round.
-            self.delays += 1
-            keep = chaos.rng.randrange(1, len(result.records))
-            kept = result.records[:keep]
-            result = FetchResult(
-                records=kept,
-                position=kept[-1].next_position,
-                epoch=result.epoch,
-                tail=result.tail,
-                lag_bytes=result.lag_bytes,
-                truncated=False,
-            )
+        if len(result.records) > 1:
+            fault = faults.link("repl.transport.delay")
+            if fault is not None:
+                # Slow link: only a prefix arrives this round.
+                kept = result.records[
+                    : fault.rng.randrange(1, len(result.records))
+                ]
+                result = FetchResult(
+                    records=kept,
+                    position=kept[-1].next_position,
+                    epoch=result.epoch,
+                    tail=result.tail,
+                    lag_bytes=result.lag_bytes,
+                )
         self._last_batch = result
         return result
 

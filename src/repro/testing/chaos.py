@@ -3,9 +3,11 @@
 Runs a seeded, fully deterministic schedule of writes against a
 primary + N-replica cluster while injecting faults between operations —
 primary kills and partitions, replica kills and restarts, checkpoint
-truncations under the stream, and probabilistic transport drop / delay /
-duplicate chaos — then heals everything, lets the cluster converge, and
-checks the two properties the replication design promises:
+truncations under the stream, and seeded link faults (dropped, partial
+and replayed deliveries, armed at the ``repl.transport.*`` sites of
+:mod:`repro.testing.faults`) — then heals everything, lets the cluster
+converge, and checks the two properties the replication design
+promises:
 
 1. **No acknowledged write is ever lost.**  The harness keeps an
    :class:`~repro.testing.oracle.AckOracle` (shared by every soak): the
@@ -48,11 +50,13 @@ from ..replication import (
     InProcessTransport,
     Primary,
     Replica,
-    TransportChaos,
     TransportError,
 )
 from . import faults
 from .oracle import AckOracle
+
+#: Per-fetch probability of a partial delivery on a chaos-soak link.
+DELAY_PROBABILITY = 0.08
 
 
 @dataclass
@@ -69,8 +73,8 @@ class ChaosConfig:
     failure_threshold: int = 2
     #: per-op probability that a fault event fires before the op.
     event_probability: float = 0.03
+    #: per-fetch probabilities of a dropped and a replayed delivery.
     drop_probability: float = 0.08
-    delay_probability: float = 0.08
     duplicate_probability: float = 0.08
     key_space: int = 400
     batch_max: int = 12
@@ -105,9 +109,8 @@ class ChaosReport:
     checkpoints: int = 0
     rejoins: int = 0
     bootstraps: int = 0
-    transport_drops: int = 0
-    transport_delays: int = 0
-    transport_duplicates: int = 0
+    #: link faults that acted, per ``"site:kind"``.
+    injected: dict = field(default_factory=dict)
     final_epoch: int = 0
     certain_keys: int = 0
     final_entries: int = 0
@@ -135,8 +138,7 @@ class ChaosReport:
             f"{self.failovers} failovers (epoch {self.final_epoch}), "
             f"{self.primary_kills}+{self.replica_kills} kills, "
             f"{self.partitions} partitions, {self.bootstraps} bootstraps, "
-            f"{self.transport_drops}/{self.transport_delays}/"
-            f"{self.transport_duplicates} drop/delay/dup, "
+            f"{sum(self.injected.values())} link faults, "
             f"{len(self.lost_writes)} lost, "
             f"{len(self.divergent_replicas)} divergent, "
             f"{self.final_entries} entries"
@@ -152,8 +154,6 @@ class ChaosSoak:
         self.rng = random.Random(config.seed)
         self.report = ChaosReport(seed=config.seed)
         self._node_seq = 0
-        self._chaos_seq = 0
-        self._transports: list[InProcessTransport] = []
         self._partitioned_links: list[InProcessTransport] = []
         self._partitioned_node: Optional[str] = None
         self._retired = 0
@@ -178,7 +178,7 @@ class ChaosSoak:
         for i in range(cfg.n_replicas):
             replica = Replica(
                 self.root / f"replica{i}",
-                self._transport(primary),
+                InProcessTransport(primary),
                 tree_class=cfg.tree_class,
                 config=self.tree_config,
                 fsync="none",
@@ -189,10 +189,10 @@ class ChaosSoak:
             replicas.append(replica)
         self.coordinator = FailoverCoordinator(
             primary,
-            self._transport(primary),
+            InProcessTransport(primary),
             replicas,
             self.registry,
-            transport_factory=self._transport,
+            transport_factory=InProcessTransport,
             failure_threshold=cfg.failure_threshold,
         )
 
@@ -207,18 +207,19 @@ class ChaosSoak:
             segment_bytes=cfg.segment_bytes,
         )
 
-    def _transport(self, primary: Primary) -> InProcessTransport:
+    def _arm_links(self) -> None:
+        """Arm the three link sites for the whole run: every link draws
+        from the same three seeded fault streams."""
         cfg = self.config
-        self._chaos_seq += 1
-        chaos = TransportChaos(
-            drop_probability=cfg.drop_probability,
-            delay_probability=cfg.delay_probability,
-            duplicate_probability=cfg.duplicate_probability,
-            seed=cfg.seed * 7919 + self._chaos_seq,
-        )
-        transport = InProcessTransport(primary, chaos=chaos)
-        self._transports.append(transport)
-        return transport
+        for i, (site, kind, probability) in enumerate((
+            ("repl.transport.drop", "drop", cfg.drop_probability),
+            ("repl.transport.delay", "partial", DELAY_PROBABILITY),
+            ("repl.transport.reorder", "replay", cfg.duplicate_probability),
+        )):
+            faults.arm(
+                site, kind, probability=probability,
+                seed=cfg.seed * 7919 + i,
+            )
 
     @property
     def primary(self) -> Primary:
@@ -293,7 +294,7 @@ class ChaosSoak:
         if not dead:
             return
         replica = self.rng.choice(dead)
-        replica.attach(self._transport(self.primary))
+        replica.attach(InProcessTransport(self.primary))
         try:
             replica.resume()
         except Exception:
@@ -318,7 +319,7 @@ class ChaosSoak:
         name = f"rejoin{self._node_seq}"
         replica = Replica(
             self.root / name,
-            self._transport(self.primary),
+            InProcessTransport(self.primary),
             tree_class=self.config.tree_class,
             config=self.tree_config,
             fsync="none",
@@ -337,6 +338,7 @@ class ChaosSoak:
         cfg = self.config
         report = self.report
         oracle = AckOracle()
+        self._arm_links()
         for step in range(cfg.ops):
             if self.rng.random() < cfg.event_probability:
                 self._event()
@@ -399,7 +401,7 @@ class ChaosSoak:
             node_id=old.node_id,
             required_acks=self.required_acks,
         )
-        self.coordinator.primary_transport = self._transport(
+        self.coordinator.primary_transport = InProcessTransport(
             self.coordinator.primary
         )
         self.report.primary_restarts += 1
@@ -408,7 +410,6 @@ class ChaosSoak:
 
     def _finish(self, oracle: AckOracle) -> None:
         report = self.report
-        cfg = self.config
         self._heal()
         # Revive every dead replica from its own disk first (a local
         # operation) so the election below has its full candidate set.
@@ -429,9 +430,12 @@ class ChaosSoak:
                 self._restart_primary()
         for replica in needs_bootstrap:
             replica.alive = True
-            replica.attach(self._transport(self.primary))
+            replica.attach(InProcessTransport(self.primary))
             replica.bootstrap()
         # Quiet, direct links to the live primary for the final drain.
+        for site in faults.LINK_SITES:
+            faults.disarm(site)
+        report.injected = _injected()
         for replica in self.coordinator.replicas:
             transport = InProcessTransport(self.primary)
             replica.attach(transport)
@@ -443,46 +447,62 @@ class ChaosSoak:
         tail = self.primary.tail_position()
         for replica in self.coordinator.replicas:
             replica.catch_up(tail, max_rounds=64)
-        # Tally transport chaos that actually fired, across every link
-        # the run ever created (links are swapped on restarts/failovers).
-        for transport in self._transports:
-            report.transport_drops += transport.drops
-            report.transport_delays += transport.delays
-            report.transport_duplicates += transport.duplicates
         for replica in self.coordinator.replicas:
             report.bootstraps += replica.bootstraps
         report.final_epoch = self.registry.current()
         report.certain_keys = len(oracle)
-        primary_items = list(self.primary.items())
-        report.final_entries = len(primary_items)
-        report.lost_writes = oracle.lost(dict(primary_items).get)
-        for replica in self.coordinator.replicas:
-            if replica.items() != primary_items:
-                report.divergent_replicas.append(replica.name)
-            violations = replica.check(check_min_fill=False)
-            if violations:
-                report.invariant_violations.append(
-                    (replica.name, violations)
-                )
-        violations = self.primary.check(check_min_fill=False)
+        _verdict(
+            report, oracle, self.primary, self.coordinator.replicas,
+            self.config.tree_class, self.tree_config,
+        )
+
+
+def _injected() -> dict:
+    """Faults that acted so far, per ``"site:kind"``."""
+    return {
+        f"{site}:{kind}": count
+        for (site, kind), count in faults.counts().items()
+    }
+
+
+def _verdict(
+    report: Union["ChaosReport", "IOFaultReport"],
+    oracle: AckOracle,
+    primary: Primary,
+    replicas: list[Replica],
+    tree_class: Type[BPlusTree],
+    tree_config: TreeConfig,
+) -> None:
+    """The end-of-soak verdict both in-process soaks share, written
+    into ``report``; closes every node.
+
+    Every certain key must hold its value on ``primary``, every replica
+    must equal ``primary`` item for item, every node must pass
+    ``check()``, and ``primary``'s directory must recover to exactly
+    the served state (a promoted node is a real durability root, not
+    just a cache).
+    """
+    primary_items = list(primary.items())
+    report.final_entries = len(primary_items)
+    report.lost_writes = oracle.lost(dict(primary_items).get)
+    for replica in replicas:
+        if replica.items() != primary_items:
+            report.divergent_replicas.append(replica.name)
+        violations = replica.check(check_min_fill=False)
         if violations:
-            report.invariant_violations.append(
-                (self.primary.node_id, violations)
-            )
-        report.converged = not report.divergent_replicas
-        # Finally: the winning primary's directory must itself recover
-        # to exactly the served state (the promoted node is a real
-        # durability root, not just a cache).
-        self.primary.close()
-        recovered, _ = DurableTree.recover(
-            self.primary.directory, cfg.tree_class, self.tree_config
-        )
-        report.recovered_matches = (
-            list(recovered.items()) == primary_items
-        )
-        recovered.close()
-        for replica in self.coordinator.replicas:
-            replica.close()
+            report.invariant_violations.append((replica.name, violations))
+    violations = primary.check(check_min_fill=False)
+    if violations:
+        report.invariant_violations.append((primary.node_id, violations))
+    report.converged = not report.divergent_replicas
+    primary.close()
+    recovered, _ = DurableTree.recover(
+        primary.directory, tree_class, tree_config
+    )
+    report.recovered_matches = list(recovered.items()) == primary_items
+    recovered.close()
+    for replica in replicas:
+        replica.close()
 
 
 class _ClientOp:
@@ -585,6 +605,7 @@ class IOFaultReport:
     final_entries: int = 0
     lost_writes: list = field(default_factory=list)
     divergent_replicas: list = field(default_factory=list)
+    invariant_violations: list = field(default_factory=list)
     recovered_matches: bool = True
     converged: bool = False
 
@@ -596,6 +617,7 @@ class IOFaultReport:
         return (
             not self.lost_writes
             and not self.divergent_replicas
+            and not self.invariant_violations
             and self.recovered_matches
             and self.converged
             and self.health_retries > 0
@@ -632,8 +654,6 @@ class IOFaultSoak:
     """
 
     def __init__(self, root: Union[str, Path], config: IOFaultConfig) -> None:
-        from ..replication import InProcessTransport  # local: avoid cycle churn
-
         self.root = Path(root)
         self.config = config
         self.rng = random.Random(config.seed)
@@ -797,11 +817,7 @@ class IOFaultSoak:
 
     def _finish(self, oracle: AckOracle) -> None:
         report = self.report
-        cfg = self.config
-        report.injected = {
-            f"{site}:{kind}": count
-            for (site, kind), count in faults.counts().items()
-        }
+        report.injected = _injected()
         faults.reset()
         self.replica.catch_up(self.primary.tail_position(), max_rounds=64)
         health = self.primary.durable.health
@@ -812,19 +828,10 @@ class IOFaultSoak:
         report.scrub_corruptions = self.scrubber.corruptions
         report.scrub_quarantines = self.scrubber.quarantines
         report.peer_repairs = self.scrubber.peer_repairs
-        primary_items = list(self.primary.items())
-        report.final_entries = len(primary_items)
-        report.lost_writes = oracle.lost(dict(primary_items).get)
-        if self.replica.items() != primary_items:
-            report.divergent_replicas.append(self.replica.name)
-        report.converged = not report.divergent_replicas
-        self.primary.close()
-        recovered, _ = DurableTree.recover(
-            self.primary.directory, cfg.tree_class, self.tree_config
+        _verdict(
+            report, oracle, self.primary, [self.replica],
+            self.config.tree_class, self.tree_config,
         )
-        report.recovered_matches = list(recovered.items()) == primary_items
-        recovered.close()
-        self.replica.close()
 
 
 def run_iofault_soak(

@@ -1,7 +1,7 @@
 """One fault model for the durability and replication stack.
 
 Every place where a failure is interesting is a named *site*, and
-:data:`SITES` maps each site to the fault kinds it permits.  Two call
+:data:`SITES` maps each site to the fault kinds it permits.  Three call
 forms reach the table:
 
 * **control-flow sites** (``wal.*``, ``snapshot.*``, ``checkpoint.*``,
@@ -15,6 +15,15 @@ forms reach the table:
     ``BaseException`` so no ``except Exception`` handler can swallow
     it: the process dies at that instruction.  Whatever bytes reached
     the filesystem stay; nothing else does.
+
+* **link sites** (``repl.transport.*``) call :func:`link` in the
+  replication transport's ``fetch_records``, which returns the fired
+  fault for the transport to perform.  Each permits ``raise``,
+  ``crash`` and one delivery kind: ``"drop"`` (an empty batch, cursor
+  unmoved), ``"partial"`` (a strict prefix, cut with the fault's
+  ``rng``; reached only for batches of two or more records) or
+  ``"replay"`` (the previous batch again; reached only after a
+  non-empty one), so :func:`counts` counts only faults that acted.
 
 * **``io.*`` sites** route a disk operation through one of the shims
   (:func:`write`, :func:`fsync`, :func:`replace`, :func:`read_bytes`)
@@ -42,12 +51,13 @@ exactly.  Tests arm a site for a block::
 
 or until :func:`disarm`/:func:`reset` with :func:`arm`.  Arming is
 process-global (the durability code has no handle to thread test state
-through).  With nothing armed, :func:`fire` and every shim start with
-one ``if not _active`` check, so the instrumentation stays resident in
-production.  The lock is only ever held to *decide*, never across the
-I/O itself (the runtime lock sanitizer would flag an fsync under it).
+through).  With nothing armed, :func:`fire`, :func:`link` and every
+shim start with one ``if not _active`` check, so the instrumentation
+stays resident in production.  The lock is only ever held to
+*decide*, never across the I/O itself (the runtime lock sanitizer
+would flag an fsync under it).
 
-The ``fault-parity`` lint rule checks the three site constants against
+The ``fault-parity`` lint rule checks the four site constants against
 the call sites in both directions, and checks that each call uses the
 form its site's kinds call for.
 """
@@ -86,19 +96,22 @@ CONTROL_SITES: tuple[str, ...] = (
     "checkpoint.before_truncate",
     "checkpoint.after_truncate",
     # Replication layer (repro.replication): primary serving side,
-    # replica apply side, coordinator decisions, and the in-process
-    # transport's fault-injection hooks.  A "raise" at a transport site
-    # models exactly a dropped/failed network call — the replication
-    # code handles FaultError as it would a TransportError.
+    # replica apply side, coordinator decisions.  A "raise" at
+    # repl.snapshot_fetch models a failed network call — the
+    # replication code handles FaultError as it would a TransportError.
     "repl.snapshot_fetch",
     "repl.ship_record",
     "repl.apply_record",
     "repl.promote",
     "repl.fence",
     "repl.health_check",
-    "repl.transport.drop",
-    "repl.transport.delay",
-    "repl.transport.reorder",
+)
+
+#: Link sites on the replication transport, reached through :func:`link`.
+LINK_SITES: tuple[str, ...] = (
+    "repl.transport.drop",     # + "drop": the response is lost
+    "repl.transport.delay",    # + "partial": a strict prefix arrives
+    "repl.transport.reorder",  # + "replay": the previous batch again
 )
 
 #: ``io.*`` sites on the write path (live appends, checkpoints).
@@ -122,6 +135,10 @@ DISK_KINDS: tuple[str, ...] = ("eio", "enospc", "torn", "bitrot")
 #: Every site, mapped to the fault kinds it permits.
 SITES: dict[str, tuple[str, ...]] = {
     **dict.fromkeys(CONTROL_SITES, ("raise", "crash")),
+    **{
+        site: ("raise", "crash", kind)
+        for site, kind in zip(LINK_SITES, ("drop", "partial", "replay"))
+    },
     **dict.fromkeys(IO_WRITE_SITES, DISK_KINDS + ("crash",)),
     **dict.fromkeys(IO_READ_SITES, DISK_KINDS),
 }
@@ -282,8 +299,8 @@ def _claim(site: str) -> Optional[Fault]:
     """Count a hit on ``site`` and decide (under the lock) whether it
     fails right now.
 
-    ``raise`` and ``crash`` are raised here; a disk fault is returned
-    for the shim to perform *outside* the lock.
+    ``raise`` and ``crash`` are raised here; a disk or link fault is
+    returned for the shim or transport to perform *outside* the lock.
     """
     if site not in SITES:
         raise ValueError(
@@ -309,6 +326,13 @@ def fire(site: str) -> None:
     if not _active:
         return
     _claim(site)
+
+
+def link(site: str) -> Optional[Fault]:
+    """Link trigger point: the fired delivery fault, or ``None``."""
+    if not _active:
+        return None
+    return _claim(site)
 
 
 def _os_error(fault: Fault) -> OSError:

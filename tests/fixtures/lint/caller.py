@@ -14,3 +14,5 @@ def do_io(name, fh, data, path):
     faults.fire(name)  # non-literal: invisible to coverage
     faults.fire("io.ok.read")  # fire on an io-only site
     faults.write("wal.ok", fh, data)  # shim on a control site
+    faults.link("repl.link.ok")  # registered link site: fine
+    faults.fire("repl.link.ok")  # fire on a link site

@@ -1,6 +1,6 @@
-"""Fixture: fault-site registry with a never-fired control site and a
-never-shimmed io site.  Paired with ``caller.py``; seeded violations
-for ``fault-parity``.  Never imported."""
+"""Fixture: fault-site registry with a never-fired control site, a
+never-shimmed io site and one link site.  Paired with ``caller.py``;
+seeded violations for ``fault-parity``.  Never imported."""
 
 CONTROL_SITES = (
     "wal.ok",
@@ -11,3 +11,4 @@ IO_WRITE_SITES = (
     "io.never_shimmed",
 )
 IO_READ_SITES = ("io.ok.read",)
+LINK_SITES = ("repl.link.ok",)

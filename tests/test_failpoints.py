@@ -17,7 +17,10 @@ class TestRegistry:
         ):
             assert faults.SITES[site] == ("raise", "crash")
         assert set(faults.SITES) == set(
-            faults.CONTROL_SITES + faults.IO_WRITE_SITES + faults.IO_READ_SITES
+            faults.CONTROL_SITES
+            + faults.LINK_SITES
+            + faults.IO_WRITE_SITES
+            + faults.IO_READ_SITES
         )
         for site in faults.IO_WRITE_SITES:
             assert faults.SITES[site] == faults.DISK_KINDS + ("crash",)
@@ -178,11 +181,16 @@ class TestReplicationSites:
             "repl.promote",
             "repl.fence",
             "repl.health_check",
-            "repl.transport.drop",
-            "repl.transport.delay",
-            "repl.transport.reorder",
         ):
             assert faults.SITES[name] == ("raise", "crash")
+        # Link sites add the one delivery fault each can perform.
+        for name, kind in (
+            ("repl.transport.drop", "drop"),
+            ("repl.transport.delay", "partial"),
+            ("repl.transport.reorder", "replay"),
+        ):
+            assert name in faults.LINK_SITES
+            assert faults.SITES[name] == ("raise", "crash", kind)
 
     def test_hit_counts_snapshot(self):
         faults.reset()

@@ -232,19 +232,29 @@ class TestDurableTreeSubmit:
             assert got[i] == i
         recovered.close()
 
-    def test_stats_mirror_group_counters(self, tmp_path):
+    def test_group_counters_live_on_the_wal(self, tmp_path):
         t = make_group_tree(tmp_path)
         tickets = [t.submit_insert(i, i) for i in range(30)]
         for ticket in tickets:
             ticket.wait(5)
-        s = t.stats
-        assert s.wal_group_batches == t.wal.group_batches >= 1
-        assert s.wal_group_batch_records == 30
-        assert s.wal_group_batch_max >= 1
-        assert s.wal_unsynced_acks == 0
-        assert s.wal_group_batch_mean == pytest.approx(
-            30 / s.wal_group_batches
-        )
+        wal = t.wal
+        assert wal.group_batches >= 1
+        assert wal.group_batch_records == 30
+        assert wal.group_batch_max >= 1
+        assert wal.unsynced_acks == 0
+        mean = wal.group_batch_records / wal.group_batches
+        assert 1 <= mean <= wal.group_batch_max
+        t.close()
+
+    def test_stats_are_the_tree_counters_and_reset_to_zero(self, tmp_path):
+        t = make_group_tree(tmp_path)
+        for ticket in [t.submit_insert(i, i) for i in range(20)]:
+            ticket.wait(5)
+        assert t.stats is t.tree.stats
+        assert t.stats.fast_inserts + t.stats.top_inserts == 20
+        t.tree.stats.reset()
+        assert set(t.stats.as_dict().values()) == {0}
+        assert t.wal.group_batch_records == 20  # the WAL keeps its own
         t.close()
 
     def test_checkpoint_interleaves_with_submits(self, tmp_path):
@@ -270,14 +280,14 @@ class TestIntervalAckWindow:
             t.insert(i, i)
         # 25 appends, fsync at 10 and 20: appends 1-9, 11-19, 21-25
         # were acked unsynced (the counter is cumulative).
-        assert t.stats.wal_unsynced_acks == 9 + 9 + 5
+        assert t.wal.unsynced_acks == 9 + 9 + 5
         t.close()
 
     def test_none_policy_every_ack_unsynced(self, tmp_path):
         t = DurableTree(QuITTree(CFG), tmp_path, fsync="none")
         for i in range(7):
             t.insert(i, i)
-        assert t.stats.wal_unsynced_acks == 7
+        assert t.wal.unsynced_acks == 7
         t.close()
 
     def test_group_and_always_never_unsynced(self, tmp_path):
@@ -287,7 +297,7 @@ class TestIntervalAckWindow:
             )
             for i in range(20):
                 t.insert(i, i)
-            assert t.stats.wal_unsynced_acks == 0
+            assert t.wal.unsynced_acks == 0
             t.close()
 
 

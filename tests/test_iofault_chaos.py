@@ -34,6 +34,7 @@ def test_soak_survives_every_fault_phase(tmp_path, seed):
     )
     assert report.lost_writes == [], report.summary()
     assert report.divergent_replicas == [], report.summary()
+    assert report.invariant_violations == [], report.summary()
     assert report.recovered_matches, report.summary()
     assert report.converged, report.summary()
     # Each phase must have demonstrably bitten — a calm run would

@@ -291,14 +291,13 @@ class TestSurvivabilityProperty:
         assert dict(recovered.items()) == acked
         recovered.close()
 
-    def test_stats_mirror_health_counters(self, tmp_path):
+    def test_health_counters_live_on_the_monitor(self, tmp_path):
         tree = make_tree(tmp_path)
         faults.arm("io.wal.write", "eio", times=2)
         try:
             tree.insert(1, 1)
         finally:
             faults.disarm("io.wal.write")
-        stats = tree.stats
-        assert stats.health_retries >= 1
-        assert stats.health_degradations >= 1
+        assert tree.health.retries >= 1
+        assert tree.health.degradations >= 1
         tree.close()

@@ -99,6 +99,7 @@ def test_fault_parity_finds_each_drift_once():
         ("caller.py", 14): "not a string literal",  # non-literal name
         ("caller.py", 15): "io.ok.read",  # fire on an io-only site
         ("caller.py", 16): "wal.ok",  # shim on a control site
+        ("caller.py", 18): "repl.link.ok",  # fire on a link site
     }
     assert sorted(by_line) == sorted(expected)
     for where, needle in expected.items():
@@ -110,6 +111,7 @@ def test_fault_parity_finds_each_drift_once():
     assert "I/O shim" in by_line[("faults.py", 11)][0]
     assert "its kinds need a faults I/O shim" in by_line[("caller.py", 15)][0]
     assert "its kinds need faults.fire()" in by_line[("caller.py", 16)][0]
+    assert "its kinds need faults.link()" in by_line[("caller.py", 18)][0]
 
 
 def test_fault_parity_skips_without_registry():

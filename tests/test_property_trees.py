@@ -225,6 +225,16 @@ class TreeMachine(RuleBasedStateMachine):
             assert self.tree.delete(key) == (key in self.oracle)
             self.oracle.pop(key, None)
 
+    @rule(fill_factor=st.sampled_from([0.5, 0.85, 1.0]))
+    def bulk_load(self, fill_factor):
+        # Rebuild the same class from the oracle, then keep fuzzing:
+        # every variant's post-bulk_load re-pin meets the standing
+        # invariant and every later rule.
+        self.tree = type(self.tree)(SMALL)
+        self.tree.bulk_load(
+            sorted(self.oracle.items()), fill_factor=fill_factor
+        )
+
     @rule(key=KEYS)
     def lookup(self, key):
         assert self.tree.get(key, "absent") == self.oracle.get(

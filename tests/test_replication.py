@@ -20,7 +20,6 @@ from repro.replication import (
     ReplicaState,
     ReplicationError,
     StaleEpochError,
-    TransportChaos,
     read_epoch,
 )
 from repro.testing import FaultError, SimulatedCrash, faults
@@ -36,16 +35,72 @@ def make_primary(tmp_path, name="node0", **kwargs):
     return Primary(durable, node_id=name, **kwargs)
 
 
-def make_replica(tmp_path, primary, name="replica0", chaos=None):
+def make_replica(tmp_path, primary, name="replica0"):
     replica = Replica(
         tmp_path / name,
-        InProcessTransport(primary, chaos=chaos),
+        InProcessTransport(primary),
         tree_class=QuITTree,
         config=CONFIG,
         name=name,
     )
     replica.bootstrap()
     return replica
+
+
+class TestLinkFaults:
+    """The delivery kinds of the ``repl.transport.*`` link sites."""
+
+    def test_drop_partial_and_replay_on_one_link(self, tmp_path):
+        primary = make_primary(tmp_path)
+        replica = make_replica(tmp_path, primary)
+        link = replica.transport
+        start = replica.position
+        for i in range(6):
+            primary.insert(i, i)
+        full = primary.fetch_records(start).records
+        assert len(full) > 1
+
+        # drop: an empty batch, and the replica's cursor stays put.
+        with faults.inject("repl.transport.drop", "drop"):
+            dropped = link.fetch_records(start)
+            assert replica.poll() == 0
+        assert dropped.records == []
+        assert dropped.position == start
+        assert replica.position == start
+
+        # partial: a strict prefix, resuming after its last record.
+        with faults.inject("repl.transport.delay", "partial", seed=5):
+            partial = link.fetch_records(start)
+        kept = partial.records
+        assert 1 <= len(kept) < len(full)
+        assert [r.position for r in kept] == [
+            r.position for r in full[: len(kept)]
+        ]
+        assert partial.position == kept[-1].next_position
+
+        # replay: the previous batch again, skipped by position.
+        assert replica.poll() == len(full)
+        skipped = replica.duplicates_skipped
+        with faults.inject("repl.transport.reorder", "replay"):
+            replayed = link.fetch_records(replica.position)
+            assert replica.poll() == 0
+        assert [r.position for r in replayed.records] == [
+            r.position for r in full
+        ]
+        assert replica.duplicates_skipped == skipped + len(full)
+        assert replica.items() == list(primary.items())
+        assert faults.counts() == {
+            ("repl.transport.drop", "drop"): 2,
+            ("repl.transport.delay", "partial"): 1,
+            ("repl.transport.reorder", "replay"): 2,
+        }
+
+    def test_link_kind_rejected_at_an_io_site(self):
+        with pytest.raises(ValueError, match="not permitted"):
+            faults.arm("io.wal.write", "partial")
+        with pytest.raises(ValueError, match="not permitted"):
+            faults.arm("repl.transport.drop", "replay")
+        assert faults.armed() == {}
 
 
 class TestPrimaryStream:
@@ -127,15 +182,17 @@ class TestReplica:
 
     def test_duplicate_delivery_is_deduplicated(self, tmp_path):
         primary = make_primary(tmp_path)
-        chaos = TransportChaos(duplicate_probability=0.6, seed=3)
-        replica = make_replica(tmp_path, primary, chaos=chaos)
+        replica = make_replica(tmp_path, primary)
+        faults.arm(
+            "repl.transport.reorder", "replay", probability=0.6, seed=3
+        )
         for phase in range(4):
             primary.insert_many(
                 [(phase * 30 + i, phase) for i in range(30)]
             )
             replica.catch_up(primary.tail_position(), max_rounds=128)
         assert replica.items() == list(primary.items())
-        assert replica.transport.duplicates > 0
+        assert faults.counts()[("repl.transport.reorder", "replay")] > 0
         assert replica.duplicates_skipped > 0
 
     def test_crc_tamper_is_rejected(self, tmp_path):

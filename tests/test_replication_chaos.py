@@ -57,8 +57,8 @@ def test_soak_actually_injects_faults(tmp_path):
     assert report.failovers > 0
     assert report.partitions > 0
     assert report.primary_kills + report.replica_kills > 0
-    assert report.transport_drops > 0
-    assert report.transport_duplicates > 0
+    assert report.injected["repl.transport.drop:drop"] > 0
+    assert report.injected["repl.transport.reorder:replay"] > 0
     assert report.fenced_rejects + report.ack_failures > 0
     assert report.final_epoch > 1
 

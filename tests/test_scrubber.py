@@ -182,14 +182,14 @@ class TestScrubCycle:
         assert scrubber.scrub_once(full=True).clean
         tree.close()
 
-    def test_scrub_counters_mirrored_into_stats(self, tmp_path):
+    def test_scrub_counters_live_on_the_scrubber(self, tmp_path):
         tree = make_tree(tmp_path)
         rot_segment(tmp_path)
-        Scrubber(tree).scrub_once(full=True)
-        stats = tree.stats
-        assert stats.scrub_cycles == 1
-        assert stats.scrub_corruptions == 1
-        assert stats.scrub_quarantines == 1
+        scrubber = Scrubber(tree)
+        scrubber.scrub_once(full=True)
+        assert scrubber.cycles == 1
+        assert scrubber.corruptions == 1
+        assert scrubber.quarantines == 1
 
 
 class TestBackgroundThread:
