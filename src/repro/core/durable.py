@@ -125,6 +125,7 @@ class RecoveryReport:
             and not self.truncated_tail
             and self.tail_bytes_dropped == 0
             and self.unknown_records == 0
+            and not self.sequence_gap
             and (self.scrub is None or self.scrub.clean)
         )
 

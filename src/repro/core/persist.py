@@ -44,7 +44,6 @@ from __future__ import annotations
 import ast
 import itertools
 import operator
-import os
 import zlib
 from pathlib import Path
 from typing import Any, Optional, Type, Union
@@ -164,25 +163,9 @@ def save_tree(
     except Exception:
         tmp.unlink(missing_ok=True)
         raise
-    _fsync_parent_dir(path)
+    wal._fsync_dir(path.parent, "snapshot.dir")
     faults.fire("snapshot.after_replace")
     return count
-
-
-def _fsync_parent_dir(path: Path) -> None:
-    """Make the rename itself durable (best-effort off POSIX)."""
-    if sanitizer.enabled():
-        sanitizer.note_fsync("snapshot.dir")
-    try:
-        fd = os.open(path.parent, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform dependent
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform dependent
-        pass
-    finally:
-        os.close(fd)
 
 
 def _parse(
@@ -237,10 +220,8 @@ def _parse_records(body: bytes, base: int, issues: list[str]) -> Pairs:
             issues.append(f"record {index}: not a chunk of (key, value) pairs")
             return pairs
         pairs += op[1]
-    if parse.checksum_failures:
-        issues.append(f"checksum failure at offset {base + parse.offset}")
-    elif parse.truncated:
-        issues.append(f"torn record at offset {base + parse.offset}")
+    if wal.is_damage(parse.stop, newest=False):
+        issues.append(f"{parse.stop} at offset {base + parse.offset}")
     return pairs
 
 
@@ -330,24 +311,14 @@ def load_tree(
     return tree
 
 
-#: Transient-retry policy for snapshot reads: a flaky read must not
-#: fail a recovery (and must never flip health — no monitor is fed).
-_SNAP_READ_RETRY = RetryPolicy(
-    attempts=3, base_delay=0.001, max_delay=0.01, deadline=0.25
-)
-
-
-def _read_snapshot_bytes(path: Path) -> bytes:
-    return _SNAP_READ_RETRY.run(
-        lambda: faults.read_bytes("io.snapshot.read", path)
-    )
-
-
 def _read_snapshot(path: Path) -> bytes:
-    """Read a snapshot; a read failure becomes PersistenceError (except
-    a genuinely missing file, which stays FileNotFoundError)."""
+    """Read a snapshot with the WAL's read retry and short-read check;
+    a read failure becomes PersistenceError (except a genuinely missing
+    file, which stays FileNotFoundError)."""
     try:
-        return _read_snapshot_bytes(path)
+        return wal.read_whole(
+            path, lambda: faults.read_bytes("io.snapshot.read", path)
+        )
     except ReadOnlyError as exc:
         cause = exc.__cause__
         if isinstance(cause, FileNotFoundError):
@@ -368,8 +339,8 @@ def verify_snapshot(path: Union[str, Path]) -> list[str]:
     if not path.exists():
         return []
     try:
-        raw = _read_snapshot_bytes(path)
-    except (ReadOnlyError, OSError) as exc:
+        raw = _read_snapshot(path)
+    except (PersistenceError, OSError) as exc:
         return [f"unreadable: {exc}"]
     issues = _parse(raw, _MAX_ISSUES)[2]
     if len(issues) > _MAX_ISSUES:

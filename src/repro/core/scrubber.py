@@ -49,7 +49,15 @@ from ..concurrency import sanitizer
 from .durable import SNAPSHOT_NAME, WAL_DIRNAME, DurableTree
 from .health import ReadOnlyError
 from .persist import verify_snapshot
-from .wal import _read_segment, _segment_seq, parse_segment, segment_paths
+from .wal import (
+    GAP,
+    _follows,
+    _read_segment,
+    _segment_seq,
+    is_damage,
+    parse_segment,
+    segment_paths,
+)
 
 QUARANTINE_DIRNAME = "quarantine"
 
@@ -214,17 +222,12 @@ class Scrubber:
                 continue
             report.bytes_checked += len(data)
             parse = parse_segment(data)
-            if parse.intact:
-                continue
-            if parse.checksum_failures:
-                kind = "checksum failure"
-            else:
-                kind = "torn record"
-            report.issues.append(
-                f"{seg.name}: {kind} at offset {parse.offset} "
-                f"(closed segment: real corruption)"
-            )
-            report.corrupt_paths.append(seg)
+            if is_damage(parse.stop, newest=False):
+                report.issues.append(
+                    f"{seg.name}: {parse.stop} at offset {parse.offset} "
+                    f"(closed segment: real corruption)"
+                )
+                report.corrupt_paths.append(seg)
 
     def _quarantine_gated(
         self, durable: DurableTree, report: ScrubCycleReport
@@ -338,34 +341,25 @@ def verify_artifacts(
     snap = directory / SNAPSHOT_NAME
     if snap.exists():
         out[str(snap)] = verify_snapshot(snap)
-    prev_seq: Optional[int] = None
     segments = segment_paths(directory / WAL_DIRNAME)
-    for seg in segments:
+    for index, seg in enumerate(segments):
         issues: list[str] = []
-        seq = _segment_seq(seg)
-        if prev_seq is not None and seq != prev_seq + 1:
+        if index and not _follows(segments[index - 1], seg):
+            prev = _segment_seq(segments[index - 1])
             issues.append(
-                f"sequence gap: follows segment {prev_seq}, "
-                f"expected {prev_seq + 1}"
+                f"{GAP}: follows segment {prev}, expected {prev + 1}"
             )
-        prev_seq = seq
         try:
-            data = _read_segment(seg)
+            parse = parse_segment(_read_segment(seg))
         except ReadOnlyError as exc:
             issues.append(f"unreadable: {exc}")
-            out[str(seg)] = issues
-            continue
-        parse = parse_segment(data)
-        if parse.checksum_failures:
-            issues.append(f"checksum failure at offset {parse.offset}")
-        elif parse.truncated and seg != segments[-1]:
-            issues.append(
-                f"torn record at offset {parse.offset} below the tail"
-            )
-        elif parse.truncated:
-            issues.append(
-                "note: torn tail (in-flight append at crash; "
-                "recovery's repair will trim it)"
-            )
+        else:
+            if is_damage(parse.stop, newest=seg == segments[-1]):
+                issues.append(f"{parse.stop} at offset {parse.offset}")
+            elif parse.stop is not None:
+                issues.append(
+                    "note: torn tail (in-flight append at crash; "
+                    "recovery's repair will trim it)"
+                )
         out[str(seg)] = issues
     return out

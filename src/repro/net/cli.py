@@ -412,6 +412,7 @@ def print_report(report: RecoveryReport, out: TextIO) -> None:
         ("checksum failures", report.checksum_failures),
         ("torn tail", report.truncated_tail),
         ("tail bytes dropped", report.tail_bytes_dropped),
+        ("sequence gap", report.sequence_gap),
         ("unknown records skipped", report.unknown_records),
     ]
     if report.scrub is not None:

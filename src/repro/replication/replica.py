@@ -41,7 +41,6 @@ import enum
 import os
 import shutil
 import time
-import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Type, Union
 
@@ -367,7 +366,7 @@ class Replica:
                 self.duplicates_skipped += 1
                 continue
             faults.fire("repl.apply_record")
-            if zlib.crc32(record.payload) != record.crc:
+            if not record.verify():
                 self.crc_failures += 1
                 raise ReplicationError(
                     f"replica {self.name}: CRC mismatch in shipped record "

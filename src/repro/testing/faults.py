@@ -435,19 +435,22 @@ def replace(
     os.replace(src, dst)
 
 
-def read_bytes(site: str, path: Union[str, Path]) -> bytes:
-    """``Path(path).read_bytes()`` through the fault table.
+def read_bytes(
+    site: str, path: Union[str, Path], offset: int = 0
+) -> bytes:
+    """The bytes of ``path`` from ``offset`` on, through the fault table.
 
     ``torn`` returns a prefix (short read); ``bitrot`` returns the full
     payload with one byte flipped.
     """
-    if _active:
-        fault = _claim(site)
-        if fault is not None:
-            if fault.kind in ("eio", "enospc"):
-                raise _os_error(fault)
-            data = Path(path).read_bytes()
-            if fault.kind == "torn":
-                return data[: len(data) // 2]
-            return _flip_byte(data)
-    return Path(path).read_bytes()
+    fault = _claim(site) if _active else None
+    if fault is not None and fault.kind in ("eio", "enospc"):
+        raise _os_error(fault)
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        data = fh.read()
+    if fault is None:
+        return data
+    if fault.kind == "torn":
+        return data[: len(data) // 2]
+    return _flip_byte(data)

@@ -1,6 +1,7 @@
 """DurableTree: logged mutations, checkpointing, recovery, and the
 crash windows around the snapshot-replace / WAL-truncate boundary."""
 
+import io
 import threading
 
 import pytest
@@ -18,6 +19,7 @@ from repro.core import (
 )
 from repro.core.durable import SNAPSHOT_NAME, WAL_DIRNAME
 from repro.core.wal import replay_wal, segment_paths
+from repro.net.cli import print_report
 from repro.testing import SimulatedCrash, faults
 
 from conftest import ALL_TREE_CLASSES, legacy_snapshot_bytes
@@ -451,6 +453,50 @@ class TestDurableExit:
                 raise SimulatedCrash("simulated crash")
         assert t.wal._fh is not None  # a dead process flushes nothing
         t.wal._fh.close()
+
+class TestRecoveryReadFaults:
+    def test_short_snapshot_read_is_retried(self, tmp_path):
+        """A torn read of the snapshot is a short read, retried like one
+        of a WAL segment, not a torn record."""
+        t = DurableTree(QuITTree(CFG), tmp_path)
+        for i in range(30):
+            t.insert(i, i)
+        t.checkpoint()
+        for i in range(30, 40):
+            t.insert(i, -i)
+        expected = reference_state(t.tree)
+        t.close()
+        with faults.inject("io.snapshot.read", "torn", times=1) as fault:
+            recovered, report = DurableTree.recover(tmp_path, QuITTree)
+        assert fault.fired
+        assert report.snapshot_loaded and report.clean
+        assert reference_state(recovered.tree) == expected
+        recovered.close()
+
+    def test_sequence_gap_is_not_clean(self, tmp_path):
+        """A missing middle segment loses the records it held even when
+        the orphaned segment after it is empty."""
+        t = DurableTree(QuITTree(CFG), tmp_path, segment_bytes=64)
+        for i in range(6):
+            t.insert(i, i)
+        assert len(segment_paths(tmp_path / WAL_DIRNAME)) == 2
+        with faults.inject("io.wal.write", "crash"):
+            with pytest.raises(SimulatedCrash):
+                t.insert(6, 6)  # rotation opened segment 3, then died
+        t.wal._fh.close()
+        segs = segment_paths(tmp_path / WAL_DIRNAME)
+        assert [s.stat().st_size for s in segs][2:] == [0]
+        segs[1].unlink()
+        recovered, report = DurableTree.recover(tmp_path, QuITTree)
+        assert report.sequence_gap
+        assert report.tail_bytes_dropped == 0
+        assert sorted(recovered.tree.keys()) == [0, 1, 2]
+        assert not report.clean
+        out = io.StringIO()
+        print_report(report, out)
+        assert "sequence gap             True" in out.getvalue()
+        recovered.close()
+
 
 class TestMultiSegmentTornMiddleRecovery:
     """Satellite: recovery spanning several rotated segments where the

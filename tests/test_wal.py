@@ -507,6 +507,37 @@ class TestWALReader:
         with pytest.raises(WALTruncatedError):
             WALReader(wal_dir).read(WALPosition(1, 0))
 
+    def test_missing_middle_segment_is_a_stream_error(self, wal_dir):
+        """The reader stops at a gap where replay stops, instead of
+        serving the records behind it."""
+        from repro.core.wal import WALPosition, WALReader, WALStreamError
+
+        with WriteAheadLog(wal_dir, segment_bytes=128) as wal:
+            fill(wal, 30)
+        segs = segment_paths(wal_dir)
+        assert len(segs) >= 3
+        segs[1].unlink()
+        assert replay_wal(wal_dir).sequence_gap
+        with pytest.raises(WALStreamError, match="sequence gap"):
+            WALReader(wal_dir).read(WALPosition(1, 0))
+
+    def test_position_past_segment_end_is_truncated(self, wal_dir):
+        from repro.core.wal import (
+            WALPosition,
+            WALReader,
+            WALTruncatedError,
+        )
+
+        with WriteAheadLog(wal_dir) as wal:
+            fill(wal, 4)
+        (seg,) = segment_paths(wal_dir)
+        end = seg.stat().st_size
+        assert WALReader(wal_dir).read(WALPosition(1, end)) == (
+            [], WALPosition(1, end)
+        )
+        with pytest.raises(WALTruncatedError):
+            WALReader(wal_dir).read(WALPosition(1, end + 1))
+
     def test_position_at_tail_returns_empty(self, wal_dir):
         from repro.core.wal import WALReader
 
