@@ -26,15 +26,7 @@ class QuITNoResetTree(QuITTree):
 
     name = "QuIT-no-reset"
 
-    def _note_top_insert_miss(
-        self,
-        leaf: LeafNode,
-        key: Key,
-        low: Optional[Key],
-        high: Optional[Key],
-    ) -> None:
-        # Count the miss but never reset.
-        self._count_consecutive_miss()
+    _resets = False
 
 
 class QuITNoVariableSplitTree(QuITTree):

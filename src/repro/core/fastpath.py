@@ -52,15 +52,18 @@ class FastPathTree(BPlusTree):
         """Insert via the fast path when the key is in range, else via a
         classical top-insert.
 
-        The in-range, leaf-has-room case is fully inlined: it is the
-        operation the fast path exists for, and each saved Python call
+        The window test and the in-range, leaf-has-room case are inlined:
+        they are what the fast path exists for, and each saved Python call
         measurably widens the fast-vs-top cost gap the paper measures.
         """
-        if self._fast_path_accepts(key):
+        fp = self._fp
+        leaf = fp.leaf
+        if (
+            leaf is not None
+            and ((low := fp.low) is None or key >= low)
+            and ((high := fp.high) is None or key < high)
+        ):
             self.stats.fast_inserts += 1
-            fp = self._fp
-            # The window test is False while the leaf is unset.
-            leaf: LeafNode = fp.leaf  # type: ignore[assignment]
             # Slot-array fast path: an insert landing at the leaf's gap
             # cursor is two comparisons and two C-level stores — no
             # bisect, no shifting.  The slab is always at least
@@ -90,7 +93,7 @@ class FastPathTree(BPlusTree):
                     # gap-migrating insert.
                     self._size += 1
             else:
-                self._leaf_insert(leaf, key, value, fp.low, fp.high)
+                self._leaf_insert(leaf, key, value, low, high)
         else:
             self._top_insert(key, value)
 
@@ -98,7 +101,7 @@ class FastPathTree(BPlusTree):
         """``low <= key < high`` over the leaf's pivot bounds (§4.2), open
         where a bound is None; False while the leaf is unset.  The tail's
         ``high`` is None by construction (a ``validate()`` invariant), so
-        its upper check is omitted.  Inlined: runs on every insert."""
+        its upper check is omitted.  ``insert`` and ``get`` inline it."""
         fp = self._fp
         if fp.leaf is None:
             return False

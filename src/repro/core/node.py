@@ -283,12 +283,6 @@ class LeafNode(Node):
             self._compact()
         return self.svals[idx]
 
-    def position_first_greater(self, bound: Key) -> int:
-        """Index of the first key strictly greater than ``bound``."""
-        if self.gap != self.fill:
-            self._compact()
-        return bisect_right(self.skeys, bound, 0, self.fill)
-
     def items(self) -> Iterator[tuple[Key, Any]]:
         """Iterate the leaf's entries in key order."""
         if self.gap != self.fill:

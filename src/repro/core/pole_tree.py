@@ -8,10 +8,11 @@ the pole stays put and the new node is remembered as ``pole_next``; a later
 top-insert landing there that IKR accepts lets the pole "catch up" (§4.2).
 
 This class is the paper's "pole-B+-tree" of §5.2.3 — QuIT *without* the
-variable split, redistribution, and stale-pole reset strategies (those live
-in :class:`~repro.core.quit_tree.QuITTree`).  It therefore reproduces the
-stress-test pathology of Fig. 12: once trapped by a scrambled segment, it
-never recovers the fast path.
+variable split, redistribution, and stale-pole reset strategies (those are
+:class:`~repro.core.quit_tree.QuITTree`'s; it switches the reset on through
+``_resets``).  It therefore reproduces the stress-test pathology of
+Fig. 12: once trapped by a scrambled segment, it never recovers the fast
+path.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ class PoleBPlusTree(FastPathTree):
 
     _fp: PoleState
 
+    #: Whether ``T_R`` consecutive top-inserts re-pin the pole (§4.3);
+    #: the plain pole tree only counts them.
+    _resets = False
+
     def _make_fp_state(self) -> PoleState:
         return PoleState()
 
@@ -46,7 +51,7 @@ class PoleBPlusTree(FastPathTree):
         return self._fp.next_candidate
 
     # ------------------------------------------------------------------
-    # Re-pinning and the miss counter
+    # Re-pinning
     # ------------------------------------------------------------------
 
     def _pin(
@@ -65,21 +70,6 @@ class PoleBPlusTree(FastPathTree):
         fp.prev = leaf.prev if prev is None else prev
         fp.next_candidate = None
         fp.fails = 0
-
-    def _count_consecutive_miss(self) -> int:
-        """Bump and return the consecutive-top-insert counter.
-
-        ``fails`` resets implicitly whenever a fast insert happened since
-        the previous miss (tracked through the fast-insert counter), so
-        the fast path itself carries no bookkeeping.
-        """
-        fp = self._fp
-        fast_now = self.stats.fast_inserts
-        if fast_now != fp.last_fast_mark:
-            fp.fails = 0
-            fp.last_fast_mark = fast_now
-        fp.fails += 1
-        return fp.fails
 
     # ------------------------------------------------------------------
     # Pole-update policy on split (Alg. 1 lines 2-8, Fig. 6)
@@ -199,18 +189,20 @@ class PoleBPlusTree(FastPathTree):
                 self._pin(leaf, low, high, prev=pole)
                 self.stats.pole_catchups += 1
                 return
-        self._note_top_insert_miss(leaf, key, low, high)
-
-    def _note_top_insert_miss(
-        self,
-        leaf: LeafNode,
-        key: Key,
-        low: Optional[Key],
-        high: Optional[Key],
-    ) -> None:
-        """Hook: a top-insert bypassed the fast path entirely.  The plain
-        pole tree only counts it; QuIT adds the reset strategy."""
-        self._count_consecutive_miss()
+        # A top-insert bypassed the fast path: count the consecutive miss.
+        # ``fails`` restarts whenever a fast insert happened since the
+        # previous miss (tracked through the fast-insert counter), so the
+        # fast path itself carries no bookkeeping.
+        fast_now = self.stats.fast_inserts
+        if fast_now != fp.last_fast_mark:
+            fp.fails = 0
+            fp.last_fast_mark = fast_now
+        fp.fails += 1
+        if self._resets and fp.fails >= self.config.reset_after:
+            # Stale-pole reset (§4.3): re-pin the pole to the leaf that
+            # took the latest insert.
+            self._pin(leaf, low, high)
+            self.stats.pole_resets += 1
 
     # ------------------------------------------------------------------
     # Scrubbing

@@ -24,6 +24,7 @@ last entry resets the pole to ``pole_prev`` (§4.4).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional
 
 from .bptree import TreeInvariantError
@@ -31,7 +32,7 @@ from .node import Key, LeafNode
 from .pole_tree import PoleBPlusTree
 
 #: Multiples of the IKR-estimated key density that a within-run gap may
-#: reach before the run is considered ended (see _in_order_run_length).
+#: reach before the run is considered ended (see _split_full_pole).
 _RUN_GAP_SLACK = 4.0
 
 #: Floor for the density estimate, guarding integer keys ingested densely
@@ -44,6 +45,9 @@ class QuITTree(PoleBPlusTree):
     redistribution + stale-pole reset."""
 
     name = "QuIT"
+
+    # Stale-pole reset (§4.3): re-pin after T_R consecutive top-inserts.
+    _resets = True
 
     # ------------------------------------------------------------------
     # Variable split strategy (Alg. 2)
@@ -95,10 +99,25 @@ class QuITTree(PoleBPlusTree):
             return super(QuITTree, self)._split_full_leaf(
                 pole, key, low, high
             )
-        split_pos = min(
-            pole.position_first_greater(threshold),
-            self._in_order_run_length(pole, prev),
-        )
+        # One pass over the slab decides l: the first key above IKR's
+        # threshold, or the end of the contiguous in-order run at the
+        # bottom of the pole if that comes first.  Eq. 2's acceptance
+        # window spans ``pole_size`` densities above ``q``, so a *future*
+        # in-order key that arrived early (a forward outlier with small
+        # displacement) can slip under the threshold.  Carrying such a
+        # key to the new pole as its minimum would strand every
+        # not-yet-arrived key below it.  The entries that actually
+        # arrived in order form a dense run starting at ``q``; the run
+        # ends at the first gap that a handful of in-order densities
+        # cannot explain.
+        keys, _, n = pole.view()
+        split_pos = bisect_right(keys, threshold, 0, n)
+        density = max((keys[0] - prev.min_key) / prev.size, _MIN_DENSITY)
+        gap_limit = density * self.config.ikr_scale * _RUN_GAP_SLACK
+        for i in range(1, split_pos):
+            if keys[i] - keys[i - 1] > gap_limit:
+                split_pos = i
+                break
         advance = split_pos > half
         if advance:
             # Few outliers: split at l-1, the new (nearly empty) node takes
@@ -114,28 +133,6 @@ class QuITTree(PoleBPlusTree):
         if key >= split_key:
             return right, split_key, high
         return pole, low, split_key
-
-    def _in_order_run_length(self, pole: LeafNode, prev: LeafNode) -> int:
-        """Length of the contiguous in-order run at the bottom of the pole.
-
-        Eq. 2's acceptance window spans ``pole_size`` densities above
-        ``q``, so a *future* in-order key that arrived early (a forward
-        outlier with small displacement) can slip under the IKR threshold.
-        Carrying such a key to the new pole as its minimum would strand
-        every not-yet-arrived key below it.  The entries that actually
-        arrived in order form a dense run starting at ``q``; the run ends
-        at the first gap that a handful of in-order densities cannot
-        explain.
-        """
-        density = max(
-            (pole.min_key - prev.min_key) / prev.size, _MIN_DENSITY
-        )
-        gap_limit = density * self.config.ikr_scale * _RUN_GAP_SLACK
-        keys, _, n = pole.view()
-        for i in range(1, n):
-            if keys[i] - keys[i - 1] > gap_limit:
-                return i
-        return n
 
     def _redistribute_into_prev(self, pole: LeafNode, prev: LeafNode) -> None:
         """Move entries from the front of the pole into ``pole_prev`` until
@@ -170,22 +167,6 @@ class QuITTree(PoleBPlusTree):
             child = parent
             parent = child.parent
         # Leftmost leaf of the whole tree: no lower separator exists.
-
-    # ------------------------------------------------------------------
-    # Stale-pole reset (§4.3)
-    # ------------------------------------------------------------------
-
-    def _note_top_insert_miss(
-        self,
-        leaf: LeafNode,
-        key: Key,
-        low: Optional[Key],
-        high: Optional[Key],
-    ) -> None:
-        if self._count_consecutive_miss() >= self.config.reset_after:
-            # Re-pin the pole to the leaf that took the latest insert.
-            self._pin(leaf, low, high)
-            self.stats.pole_resets += 1
 
     # ------------------------------------------------------------------
     # Deletes (§4.4)

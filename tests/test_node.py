@@ -52,13 +52,6 @@ class TestLeafNode:
         assert (key, value) == (2, 20)
         assert leaf.keys == [1, 3]
 
-    def test_position_first_greater(self):
-        leaf = make_leaf([10, 20, 30, 40])
-        assert leaf.position_first_greater(5) == 0
-        assert leaf.position_first_greater(20) == 2
-        assert leaf.position_first_greater(25) == 2
-        assert leaf.position_first_greater(40) == 4
-
     def test_split_at_middle(self):
         leaf = make_leaf(list(range(8)))
         right, split_key = leaf.split_at(4)
