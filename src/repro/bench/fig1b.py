@@ -69,10 +69,12 @@ def exp_fig1b(scale: Optional[BenchScale] = None) -> ExperimentResult:
     names = ("tail-B+-tree", "SWARE", "lil-B+-tree", "QuIT")
     runs = [timed_ingest(name, scale, keys) for name in names]
     # Every design's lookups, the B+-tree's included, are timed in the
-    # same alternating rounds, so a host-speed episode cannot land on
-    # the normalizing baseline alone.
+    # same rotating rounds, so a host-speed episode cannot land on the
+    # normalizing baseline alone; two full rotations put each tree at
+    # every position twice.
+    trees = [base.tree] + [run.tree for run in runs]
     base_lookup, *lookups = time_point_lookups_alternating(
-        [base.tree] + [run.tree for run in runs], targets, scale.repeats
+        trees, targets, max(2 * len(trees), scale.repeats)
     )
     base_bytes_per_entry = base.tree.memory_bytes() / len(base.tree)
 

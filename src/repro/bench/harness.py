@@ -250,20 +250,22 @@ def time_point_lookups_alternating(
 ) -> list[float]:
     """Best single-round point-lookup seconds for each of ``trees``.
 
-    The trees are timed in alternating single rounds (A, B, ..., then
-    ..., B, A) and each keeps its best, so a host-speed episode lands on
-    every side instead of on one whole batch.  At least two rounds, so
-    each side also runs once late.
+    The trees are timed in rotating single rounds (round ``r`` starts at
+    tree ``r``: A, B, C, then B, C, A, ...) and each keeps its best, so a
+    host-speed episode lands on every side instead of on one whole batch.
+    With two trees this alternates (A, B, then B, A).  With three or more,
+    no tree is timed twice in a row, where its second pass would find the
+    probes' leaves still cached.  At least two rounds, so each side also
+    runs once late.
     """
     best = [float("inf")] * len(trees)
-    order = list(range(len(trees)))
-    for _ in range(max(2, rounds)):
-        for side in order:
+    for r in range(max(2, rounds)):
+        for i in range(len(trees)):
+            side = (r + i) % len(trees)
             best[side] = min(
                 best[side],
                 time_point_lookups(trees[side], targets, repeats=1),
             )
-        order.reverse()
     return best
 
 

@@ -344,8 +344,9 @@ class TestFig1bTiming:
         self, monkeypatch
     ):
         """Fig. 1b times the B+-tree baseline and all four designs in
-        the same alternating single rounds, so ``read_cost_norm`` does
-        not hinge on one early baseline measurement."""
+        the same rotating single rounds, so ``read_cost_norm`` does
+        not hinge on one early baseline measurement, and no design is
+        timed twice in a row on probes its previous pass left cached."""
         from repro.bench import fig1b, harness
 
         calls = []
@@ -362,5 +363,8 @@ class TestFig1bTiming:
         result = fig1b.exp_fig1b(scale)
         order = ["BPlusTree", "TailBPlusTree", "SABPlusTree",
                  "LilBPlusTree", "QuITTree"]
-        assert calls == [(name, 1) for name in order + order[::-1]]
+        # Two full rotations: round r starts at design r.
+        rotations = [order[r % 5:] + order[:r % 5] for r in range(10)]
+        assert calls == [(name, 1) for rnd in rotations for name in rnd]
+        assert all(a != b for a, b in zip(calls, calls[1:]))
         assert [row["read_cost_norm"] for row in result.rows] == [0.5] * 4
