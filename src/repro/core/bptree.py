@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Generator, Iterable, Iterator, Optional, Sequence
 
 from .batch import carve_runs, merge_run, probe_runs
 from .config import (
@@ -61,6 +61,38 @@ _key_of = itemgetter(0)
 _ReadCursor = tuple[
     LeafNode, Optional[Key], Optional[InternalNode], Optional[Key]
 ]
+
+#: One leaf's share of a range read: ``(keys, values, lo, hi)``, the
+#: leaf's slot arrays and the bounds of its in-range entries.
+LeafSlice = tuple[Sequence[Key], Sequence[Any], int, int]
+
+
+def page_from_slices(
+    slices: Generator[LeafSlice, None, None], limit: int
+) -> tuple[list[Key], list[Any], bool]:
+    """Fill a ``range_page`` from a leaf walk: at most ``limit`` entries
+    as ``(keys, values, done)``, one slice per leaf and column.
+
+    ``done`` is True iff the walk has no entry past the page, so a page
+    that ends on a leaf edge steps into the next leaf that holds an
+    entry, as a scan reading one entry further would.  The walk is
+    closed before returning, which releases any lock it holds.
+    """
+    keys: list[Key] = []
+    values: list[Any] = []
+    room = limit
+    try:
+        for lk, lv, lo, hi in slices:
+            if hi - lo > room:
+                keys += lk[lo:lo + room]
+                values += lv[lo:lo + room]
+                return keys, values, False
+            keys += lk[lo:hi]
+            values += lv[lo:hi]
+            room -= hi - lo
+        return keys, values, True
+    finally:
+        slices.close()
 
 
 class BPlusTree:
@@ -483,96 +515,99 @@ class BPlusTree:
         stats.leaf_accesses += 1
         return self._descend_for_read(key)
 
-    def range_query(self, start: Key, end: Key) -> list[tuple[Key, Any]]:
-        """All entries with ``start <= key < end`` in key order (§4.4).
+    def _leaf_slices(
+        self, start: Key, end: Key, exclusive: bool = False
+    ) -> Generator[LeafSlice, None, None]:
+        """The one leaf-chain walk behind every range read (§4.4).
 
-        One descent positions on the first leaf with ``bisect_left``;
-        the leaf chain is then walked chunk-wise, each leaf contributing
-        one slice.  Interior leaves are recognized with a single
-        ``max_key < end`` comparison — only the boundary leaves pay a
-        bisect.  Every touched leaf is counted in
-        ``stats.leaf_accesses``.
+        Yields ``(keys, values, lo, hi)`` for each non-empty leaf it
+        reads: the leaf's slot arrays and the bounds of its entries with
+        ``start <= key < end`` (``start < key`` when ``exclusive``),
+        possibly none on a boundary leaf.  One descent positions on the
+        first leaf with a bisect; the chain is then walked leaf by leaf,
+        interior leaves recognized with a single ``max_key < end``
+        comparison, so only the boundary leaves pay a bisect.  The leaf
+        search is inlined as in :meth:`get`.  The descent counts as in
+        :meth:`_find_leaf`, and every leaf stepped into after it adds
+        one node and one leaf access; callers count their own
+        ``range_lookups``.
         """
-        stats = self.stats
-        stats.range_lookups += 1
         if start >= end:
-            return []
+            return
+        stats = self.stats
         leaf: Optional[LeafNode] = self._find_leaf(start)
-        lk, lv, ln = leaf.view()
-        lo = bisect_left(lk, start, 0, ln)
-        out: list[tuple[Key, Any]] = []
-        while leaf is not None:
-            if ln:
-                if lk[ln - 1] < end:
-                    out.extend(zip(lk[lo:ln], lv[lo:ln]))
+        fill = leaf.fill
+        if leaf.gap != fill:
+            leaf._compact()
+        lk = leaf.skeys
+        if exclusive:
+            lo = bisect_right(lk, start, 0, fill)
+        else:
+            lo = bisect_left(lk, start, 0, fill)
+        while True:
+            if fill:
+                if lk[fill - 1] < end:
+                    yield lk, leaf.svals, lo, fill
                 else:
-                    hi = bisect_left(lk, end, lo, ln)
-                    out.extend(zip(lk[lo:hi], lv[lo:hi]))
-                    return out
-            lo = 0
+                    yield lk, leaf.svals, lo, bisect_left(lk, end, lo, fill)
+                    return
             leaf = leaf.next
-            if leaf is not None:
-                stats.node_accesses += 1
-                stats.leaf_accesses += 1
-                lk, lv, ln = leaf.view()
+            if leaf is None:
+                return
+            stats.node_accesses += 1
+            stats.leaf_accesses += 1
+            fill = leaf.fill
+            if leaf.gap != fill:
+                leaf._compact()
+            lk = leaf.skeys
+            lo = 0
+
+    def range_query(self, start: Key, end: Key) -> list[tuple[Key, Any]]:
+        """All entries with ``start <= key < end`` in key order (§4.4):
+        one slice per leaf of :meth:`_leaf_slices`."""
+        self.stats.range_lookups += 1
+        out: list[tuple[Key, Any]] = []
+        for lk, lv, lo, hi in self._leaf_slices(start, end):
+            out += zip(lk[lo:hi], lv[lo:hi])
         return out
 
     def range_iter(self, start: Key, end: Key) -> Iterator[tuple[Key, Any]]:
         """Lazily yield entries with ``start <= key < end`` in key order.
 
-        Generator analogue of :meth:`range_query`: one descent via
-        ``bisect_left``, then chunk-by-chunk along the leaf chain,
-        short-circuiting on the last leaf whose ``max_key`` reaches
-        ``end``.  Nothing is materialized, so callers can abandon the
-        scan early ("next N after K" queries); each leaf's chunk is
-        snapshotted as it is entered, so in-place mutation of *other*
-        leaves during iteration is tolerated.
+        Generator analogue of :meth:`range_query`.  Nothing is
+        materialized, so callers can abandon the scan early ("next N
+        after K" queries); each leaf's slice is copied as the walk
+        enters the leaf, so in-place mutation of *other* leaves during
+        iteration is tolerated.
         """
         self.stats.range_lookups += 1
-        if start >= end:
-            return
-        leaf: Optional[LeafNode] = self._find_leaf(start)
-        lk, lv, ln = leaf.view()
-        lo = bisect_left(lk, start, 0, ln)
-        while leaf is not None:
-            if ln:
-                if lk[ln - 1] < end:
-                    yield from zip(lk[lo:ln], lv[lo:ln])
-                else:
-                    hi = bisect_left(lk, end, lo, ln)
-                    yield from zip(lk[lo:hi], lv[lo:hi])
-                    return
-            lo = 0
-            leaf = leaf.next
-            if leaf is not None:
-                self.stats.node_accesses += 1
-                self.stats.leaf_accesses += 1
-                lk, lv, ln = leaf.view()
+        for lk, lv, lo, hi in self._leaf_slices(start, end):
+            yield from zip(lk[lo:hi], lv[lo:hi])
+
+    def range_page(
+        self, start: Key, end: Key, limit: int, exclusive: bool = False
+    ) -> tuple[list[Key], list[Any], bool]:
+        """One bounded page of a range read: the first ``limit`` entries
+        with ``start <= key < end`` (``start < key`` when ``exclusive``)
+        as ``(keys, values, done)`` columns.
+
+        ``done`` is exact: True iff no entry of the range lies past the
+        page.  Each leaf contributes one slice per column, so building a
+        page touches no entry in Python (the served ``SCAN`` packs the
+        columns straight onto the wire).
+        """
+        self.stats.range_lookups += 1
+        return page_from_slices(
+            self._leaf_slices(start, end, exclusive), limit
+        )
 
     def count_range(self, start: Key, end: Key) -> int:
         """Number of entries in ``[start, end)`` without materializing
-        them: interior leaves contribute ``len(keys)``, only the two
-        boundary leaves pay a bisect."""
-        stats = self.stats
-        stats.range_lookups += 1
-        if start >= end:
-            return 0
-        leaf: Optional[LeafNode] = self._find_leaf(start)
-        lk, _, ln = leaf.view()
-        lo = bisect_left(lk, start, 0, ln)
+        them: each leaf adds the length of its slice."""
+        self.stats.range_lookups += 1
         total = 0
-        while leaf is not None:
-            if ln:
-                if lk[ln - 1] < end:
-                    total += ln - lo
-                else:
-                    return total + bisect_left(lk, end, lo, ln) - lo
-            lo = 0
-            leaf = leaf.next
-            if leaf is not None:
-                stats.node_accesses += 1
-                stats.leaf_accesses += 1
-                lk, _, ln = leaf.view()
+        for _, _, lo, hi in self._leaf_slices(start, end):
+            total += hi - lo
         return total
 
     def update(self, items: Iterable[tuple[Key, Any]]) -> None:

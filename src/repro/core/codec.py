@@ -30,6 +30,15 @@ Anything else returns ``None`` from :func:`pack`, and the caller keeps
 its literal encoding: floats, strings, tuples, ``None`` values, ints
 beyond int64, empty lists, a ``GET_MANY`` answer with a missing key.
 
+A ``SCAN`` page read from the tree arrives as two columns, keys and
+values (``range_page``); :func:`pack_page` packs them as they are into
+the same bytes as the paired page, so no entry is touched in Python.
+
+Both literal encoders, the wire's and the WAL's, share one rule for
+when a ``repr`` needs no parse to prove that it round-trips
+(:func:`is_plain`): a plain scalar (exact ``int``, ``str``, ``bool``
+or ``None``) or a flat tuple of them.
+
 Layout (all integers little-endian)::
 
     u8   tag (0x01-0x1F)
@@ -74,9 +83,23 @@ if array("i").itemsize != 4 or array("q").itemsize != 8:  # pragma: no cover
 
 Buffer = Union[bytes, bytearray, memoryview]
 
+#: Scalar types whose ``repr`` always parses back to an equal value.
+#: Exact types only: a subclass may override ``__repr__``; floats are
+#: out because ``repr(nan)`` does not parse.
+_PLAIN_TYPES = (int, str, bool, type(None))
+
 
 class CodecError(ValueError):
     """A packed payload is malformed (short, trailing, unknown tag/width)."""
+
+
+def is_plain(obj: Any) -> bool:
+    """True when ``obj`` is a plain scalar or a flat tuple of them: its
+    ``repr`` parses back to an equal value, so a literal encoder needs
+    no ``literal_eval`` round trip to prove it."""
+    if type(obj) is tuple:
+        return all(type(field) in _PLAIN_TYPES for field in obj)
+    return type(obj) in _PLAIN_TYPES
 
 
 def is_packed(data: Buffer) -> bool:
@@ -100,26 +123,17 @@ def _column(values: Sequence[Any]) -> Optional[bytes]:
     return None
 
 
-def _columns(items: list, pairs: bool) -> Optional[list[bytes]]:
-    """The columns of ``items`` (one, or keys and values for ``pairs``),
-    or None when ``items`` does not have that shape."""
-    fields: Sequence[Sequence[Any]] = (items,)
-    if pairs:
-        if set(map(type, items)) != {tuple}:
-            return None
-        try:
-            fields = tuple(zip(*items, strict=True))
-        except ValueError:  # tuples of mixed lengths
-            return None
-        if len(fields) != 2:
-            return None
+def _packed(tag: int, fields: Sequence[Sequence[Any]],
+            flag: bytes = b"") -> Optional[bytes]:
+    """Header, ``flag`` and one column per field (all of one length),
+    or None when a field does not pack."""
     columns: list[bytes] = []
     for field in fields:
         column = _column(field)
         if column is None:
             return None
         columns.append(column)
-    return columns
+    return b"".join((_HEAD.pack(tag, len(fields[0])), flag, *columns))
 
 
 def pack(obj: Any) -> Optional[bytes]:
@@ -145,10 +159,38 @@ def pack(obj: Any) -> Optional[bytes]:
         return None
     if not items:
         return None
-    columns = _columns(items, pairs=tag in (TAG_PAIRS, TAG_PAGE))
-    if columns is None:
+    fields: Sequence[Sequence[Any]] = (items,)
+    if tag in (TAG_PAIRS, TAG_PAGE):
+        if set(map(type, items)) != {tuple}:
+            return None
+        try:
+            fields = tuple(zip(*items, strict=True))
+        except ValueError:  # tuples of mixed lengths
+            return None
+        if len(fields) != 2:
+            return None
+    return _packed(tag, fields, flag)
+
+
+class Packed(bytes):
+    """A payload already in packed form: the wire encoder
+    (``repro.net.protocol.encode_payload``) sends it unchanged."""
+
+
+def pack_page(keys: Sequence[Any], values: Sequence[Any],
+              done: bool) -> Optional[Packed]:
+    """The ``TAG_PAGE`` payload of a ``SCAN`` page held as two columns
+    of equal length, as a ``range_page`` returns it.
+
+    The bytes equal ``pack((list(zip(keys, values)), done))``, but the
+    columns are packed as they are, never paired up.  None when that
+    ``pack`` would return None: an empty page, or an entry that is not
+    an exact int within int64.
+    """
+    if not keys:
         return None
-    return b"".join((_HEAD.pack(tag, len(items)), flag, *columns))
+    packed = _packed(TAG_PAGE, (keys, values), bytes((done,)))
+    return None if packed is None else Packed(packed)
 
 
 class _Reader:

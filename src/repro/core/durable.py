@@ -305,6 +305,11 @@ class DurableTree:
     def range_iter(self, start: Key, end: Key) -> Iterator[tuple[Key, Any]]:
         return self.tree.range_iter(start, end)
 
+    def range_page(
+        self, start: Key, end: Key, limit: int, exclusive: bool = False
+    ) -> tuple[list[Key], list[Any], bool]:
+        return self.tree.range_page(start, end, limit, exclusive)
+
     def count_range(self, start: Key, end: Key) -> int:
         return self.tree.count_range(start, end)
 

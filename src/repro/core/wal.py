@@ -175,11 +175,6 @@ class CommitTicket:
         self._event.set()
 
 
-#: Field types whose ``repr`` always parses back to an equal value.
-#: Exact types only: a subclass may override ``__repr__``.
-_PLAIN_TYPES = (int, str, bool, type(None))
-
-
 def _encode(op: tuple) -> bytes:
     """Serialize an op tuple: packed for an all-int ``insert_many``,
     else as a Python literal.
@@ -187,17 +182,17 @@ def _encode(op: tuple) -> bytes:
     Round-trippability is enforced at append time so a bad value
     corrupts nothing: the packer's exact-type and range checks, or a
     ``literal_eval`` of the repr, reject the record before any byte
-    hits the log.  A record whose fields are all of ``_PLAIN_TYPES``
-    (single-key ops and epoch markers, usually) needs no parse to
-    prove it; floats keep the check, since ``repr(nan)`` does not
-    parse.
+    hits the log.  A record whose fields are all plain scalars
+    (:func:`codec.is_plain`: single-key ops and epoch markers, usually)
+    needs no parse to prove it; floats keep the check, since
+    ``repr(nan)`` does not parse.
     """
     if op[0] == OP_INSERT_MANY:
         packed = codec.pack(op[1])
         if packed is not None and packed[0] == codec.TAG_PAIRS:
             return packed
     text = repr(op)
-    if not all(type(field) in _PLAIN_TYPES for field in op):
+    if not codec.is_plain(op):
         try:
             ast.literal_eval(text)
         except (ValueError, SyntaxError):

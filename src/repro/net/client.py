@@ -306,10 +306,11 @@ class QuitClient:
             self.request(protocol.OP_GET_MANY, payload, deadline=deadline).result
         )
 
-    def range_iter(self, start: Any, end: Any, *,
-                   deadline: Optional[float] = None) -> Iterator[tuple]:
-        """Lazy range scan, paged over SCAN requests (each page gets a
-        fresh deadline budget; the cursor resumes after the last key)."""
+    def _scan_pages(self, start: Any, end: Any,
+                    deadline: Optional[float]) -> Iterator[list]:
+        """The entries of ``[start, end)`` one ``SCAN`` page at a time
+        (each page gets a fresh deadline budget; the cursor resumes
+        after the last key)."""
         cursor, exclusive = start, False
         while True:
             items, done = self.request(
@@ -317,15 +318,23 @@ class QuitClient:
                 (cursor, end, _SCAN_PAGE, exclusive),
                 deadline=deadline,
             ).result
-            for key, value in items:
-                yield (key, value)
+            yield items
             if done:
                 return
             cursor, exclusive = items[-1][0], True
 
+    def range_iter(self, start: Any, end: Any, *,
+                   deadline: Optional[float] = None) -> Iterator[tuple]:
+        """Lazy range scan, paged over SCAN requests."""
+        for items in self._scan_pages(start, end, deadline):
+            yield from items
+
     def range_query(self, start: Any, end: Any, *,
                     deadline: Optional[float] = None) -> list:
-        return list(self.range_iter(start, end, deadline=deadline))
+        out: list = []
+        for items in self._scan_pages(start, end, deadline):
+            out += items
+        return out
 
     def count_range(self, start: Any, end: Any, *,
                     deadline: Optional[float] = None) -> int:

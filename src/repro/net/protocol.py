@@ -12,13 +12,18 @@ its own types (there is no knob):
   carries the bulk ops (``PUT_MANY``, ``GET_MANY`` keys and answers,
   ``SCAN`` pages) at a few bytes and well under a microsecond per key.
   The exact-type and range checks of the packer are its validation.
+  The server packs a ``SCAN`` page straight from the tree's key and
+  value columns (:func:`codec.pack_page`, same bytes) and hands it
+  over as a :class:`codec.Packed`, which goes out as it is.
 * **Literal**: everything else — single-key ops, ``STATUS``,
   ``CHECK``, ``SCRUB``, ``ADMIN``, and any bulk payload holding a
   float, string, tuple, ``None``, ``bool`` or an int beyond int64.  The
   ``repr`` of a Python literal, checked to round-trip at encode time
   and parsed back with ``ast.literal_eval``, so exactly the key/value
   types the tree itself round-trips travel the wire, and nothing else
-  can (``literal_eval`` never executes code).
+  can (``literal_eval`` never executes code).  A plain scalar or a flat
+  tuple of them (:func:`codec.is_plain`, the rule the WAL uses too)
+  round-trips by construction and skips the check.
 
 No ``repr`` starts with a byte below 0x20, so the decoder tells the
 forms apart from the first payload byte; version-1 (literal-only)
@@ -165,11 +170,16 @@ class ProtocolError(RuntimeError):
 
 def encode_payload(obj: Any) -> bytes:
     """Serialize ``obj`` packed when its shape allows, else as a
-    round-trippable Python literal."""
+    round-trippable Python literal.  A :class:`codec.Packed` payload
+    is already packed and goes out as it is."""
+    if type(obj) is codec.Packed:
+        return obj
     packed = codec.pack(obj)
     if packed is not None:
         return packed
     text = repr(obj)
+    if codec.is_plain(obj):
+        return text.encode("utf-8")
     try:
         if ast.literal_eval(text) != obj:
             raise ValueError("payload does not round-trip")

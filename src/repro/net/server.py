@@ -48,6 +48,7 @@ import time
 from typing import Any, Optional
 
 from ..concurrency import sanitizer
+from ..core import codec
 from ..core.health import ReadOnlyError
 from ..core.wal import WALError
 from ..testing import faults
@@ -95,9 +96,11 @@ class QuitServer:
     Args:
         backend: a :class:`~repro.core.durable.DurableTree` or
             :class:`~repro.replication.primary.Primary`; anything with
-            the ``get/get_many/range_iter/count_range`` read surface
+            the ``get/get_many/range_page/count_range`` read surface
             and the ``submit_insert/submit_delete/submit_many`` write
-            surface.
+            surface.  A ``SCAN`` page is one ``range_page`` call whose
+            key and value columns are packed onto the wire as they
+            are (:func:`~repro.core.codec.pack_page`).
         host / port: bind address (``port=0`` picks a free port,
             published as :attr:`port` after :meth:`start`).
         max_inflight / queue_high_water / queue_wait: admission knobs
@@ -401,18 +404,15 @@ class QuitServer:
                 keys, default = payload
                 return protocol.ST_OK, 0, backend.get_many(keys, default)
             if op == protocol.OP_SCAN:
-                start, end, limit, exclusive_start = payload
-                limit = max(1, min(int(limit), _SCAN_LIMIT_MAX))
-                items = []
-                done = True
-                for key, value in backend.range_iter(start, end):
-                    if exclusive_start and key == start:
-                        continue
-                    if len(items) >= limit:
-                        done = False
-                        break
-                    items.append((key, value))
-                return protocol.ST_OK, 0, (items, done)
+                start, end, limit, exclusive = payload
+                keys, values, done = backend.range_page(
+                    start, end, max(1, min(int(limit), _SCAN_LIMIT_MAX)),
+                    bool(exclusive),
+                )
+                page = codec.pack_page(keys, values, done)
+                if page is None:
+                    return protocol.ST_OK, 0, (list(zip(keys, values)), done)
+                return protocol.ST_OK, 0, page
             if op == protocol.OP_COUNT:
                 start, end = payload
                 return protocol.ST_OK, 0, backend.count_range(start, end)

@@ -403,6 +403,13 @@ class Primary:
         epoch check because they acknowledge nothing."""
         return self.durable.range_iter(start, end)
 
+    def range_page(
+        self, start: Any, end: Any, limit: int, exclusive: bool = False
+    ) -> tuple[list[Any], list[Any], bool]:
+        """One bounded page of a range read (the served ``SCAN``),
+        unfenced like every read."""
+        return self.durable.range_page(start, end, limit, exclusive)
+
     def items(self) -> Iterable[tuple[Any, Any]]:
         return self.durable.items()
 

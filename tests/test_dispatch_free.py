@@ -1,5 +1,6 @@
 """The fast paths run dispatch-free: a cursor-hit fast insert and an
-in-window ``get`` make no Python-level call (``repro.bench.meter``)."""
+in-window ``get`` make no Python-level call, and a served ``SCAN`` page
+makes calls per leaf, not per entry (``repro.bench.meter``)."""
 
 import sys
 
@@ -8,12 +9,15 @@ import pytest
 from repro.bench.meter import python_calls
 from repro.core import (
     BPlusTree,
+    DurableTree,
     LilBPlusTree,
     PoleBPlusTree,
     QuITTree,
     TailBPlusTree,
     TreeConfig,
 )
+from repro.net import protocol
+from repro.net.server import QuitServer
 
 FAST_PATH_CLASSES = [TailBPlusTree, LilBPlusTree, PoleBPlusTree, QuITTree]
 
@@ -75,3 +79,35 @@ def test_in_window_get_makes_no_call(cls):
     assert python_calls(tree.get, key - 1) == 0
     assert tree.stats.read_fast_hits == hits + 1
     assert tree.get(key - 1) == key - 1
+
+
+def test_served_scan_page_calls_per_leaf_not_per_entry(tmp_path):
+    """Serving a 512-entry ``SCAN`` page (read, pack, encode) makes
+    Python-level calls per leaf touched plus a constant: the page goes
+    from leaf slices to packed columns without a call per entry."""
+    durable = DurableTree(
+        QuITTree(TreeConfig(leaf_capacity=32, internal_capacity=32)),
+        tmp_path / "state", fsync="group",
+    )
+    durable.insert_many([(k, k * 3) for k in range(4_000)])
+    server = QuitServer(durable)
+
+    def serve():
+        coro = server._serve_read(protocol.OP_SCAN, (100, 10**9, 512, False))
+        try:
+            coro.send(None)
+        except StopIteration as stop:
+            status, _flags, page = stop.value
+        assert status == protocol.ST_OK
+        return protocol.encode_payload(page)
+
+    assert protocol.decode_payload(serve()) == (
+        [(k, k * 3) for k in range(100, 612)], False
+    )
+    stats = durable.tree.stats
+    leaves = stats.leaf_accesses
+    calls = python_calls(serve)
+    leaves = stats.leaf_accesses - leaves
+    assert 512 // 32 <= leaves <= 512 // 16 + 2
+    assert calls <= leaves + 16, (calls, leaves)
+    durable.close()
